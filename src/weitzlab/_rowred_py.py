@@ -1,7 +1,8 @@
-"""Pure-Python fraction-free row reduction (Bareiss single-step).
+"""Fraction-free row reduction (Bareiss single-step).
 
-Interchangeable with the compiled twin weitzlab._rowred; keep the two in
-sync.  Rows are dense lists of Python ints and are modified in place.
+The one row reducer of the package; weitzlab.linalg calls it for every
+rank, nullspace and solver build.  Rows are dense lists of Python ints and
+are modified in place.
 """
 
 

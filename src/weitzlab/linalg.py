@@ -6,35 +6,20 @@ reduction (rows are scaled to integers first; scaling an equation changes
 nothing).  Pivoting always takes the first nonzero row in canonical column
 order, so results are bit-for-bit deterministic.
 
-The row-reduction core comes in two flavours selected at import time: the
-compiled extension weitzlab._rowred when it built, else the pure-Python
-twin weitzlab._rowred_py.  Set WEITZ_PURE_PYTHON=1 to force the fallback.
+The row reduction itself is weitzlab._rowred_py.echelonize, always called
+through the module attribute _core so that a profiler can rebind it.
+BACKEND names the reducer and goes with every benchmark result.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from . import _rowred_py as _core
 
-def _load_backend():
-    if os.environ.get("WEITZ_PURE_PYTHON") == "1":
-        from . import _rowred_py
-
-        return _rowred_py, "python"
-    try:
-        from . import _rowred  # type: ignore[attr-defined]
-
-        return _rowred, "cython"
-    except ImportError:
-        from . import _rowred_py
-
-        return _rowred_py, "python"
-
-
-_core, BACKEND = _load_backend()
+BACKEND = "python"
 
 __all__ = ["BACKEND", "ExactMatrix", "LinearSolver", "primitive_integer_vector"]
 
@@ -71,15 +56,6 @@ class ExactMatrix:
                 if v != 0:
                     entries[(r, c)] = Fraction(v)
         return cls(rows, cols, entries)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "ExactMatrix":
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, v in enumerate(col):
-                if v != 0:
-                    entries[(r, c)] = Fraction(v)
-        return cls(rows, len(columns), entries)
 
     def get(self, r: int, c: int) -> Fraction:
         return self.entries.get((r, c), Fraction(0))

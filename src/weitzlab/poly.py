@@ -238,12 +238,6 @@ class Polynomial:
             parts.setdefault(m.multidegree(), {})[m] = c
         return {n: Polynomial(self.d, t) for n, t in sorted(parts.items())}
 
-    def biweight_components(self) -> dict[tuple[int, int], "Polynomial"]:
-        parts: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
-        for m, c in self._terms.items():
-            parts.setdefault(m.biweight(), {})[m] = c
-        return {w: Polynomial(self.d, t) for w, t in sorted(parts.items())}
-
     # ---------------------------------------------------------------- arithmetic
 
     def _require_same_d(self, other: "Polynomial") -> None:

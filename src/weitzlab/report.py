@@ -16,7 +16,6 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import product
 
 from ._version import __version__
 from .derivation import build_chain, delta
@@ -81,16 +80,24 @@ class SweepConfig:
         }
 
 
+def _compositions(total: int, parts: int, cap: int):
+    """Tuples of `parts` entries in 0..cap summing to total, in lex order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(max(0, total - cap * (parts - 1)), min(total, cap) + 1):
+        for rest in _compositions(total - first, parts - 1, cap):
+            yield (first,) + rest
+
+
 def enumerate_multidegrees(
     d: int, max_total: int, cap: int | None = None
 ) -> list[tuple[int, ...]]:
     """All multidegrees with |n| <= max_total, graded lexicographic order."""
     out = []
     for total in range(max_total + 1):
-        bound = min(total, cap) if cap is not None else total
-        for n in product(range(bound + 1), repeat=d):
-            if sum(n) == total:
-                out.append(n)
+        out.extend(_compositions(total, d, total if cap is None else cap))
     return out
 
 

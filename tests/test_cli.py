@@ -1,6 +1,7 @@
 """Command line contract: flags, exit codes, report shapes, determinism."""
 
 import json
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
@@ -93,6 +94,24 @@ def test_report_determinism_after_timing_strip():
     assert json.dumps(strip_timing(first), sort_keys=True) == json.dumps(
         strip_timing(second), sort_keys=True
     )
+
+
+def test_enumerate_multidegrees_matches_box_filter():
+    # reference: walk the whole (bound+1)^d box and keep each total in turn
+    def box_filter(d, max_total, cap):
+        out = []
+        for total in range(max_total + 1):
+            bound = min(total, cap) if cap is not None else total
+            box = product(range(bound + 1), repeat=d)
+            out.extend(n for n in box if sum(n) == total)
+        return out
+
+    for d in range(1, 5):
+        for max_total in range(7):
+            for cap in (None, 0, 1, 2):
+                assert enumerate_multidegrees(d, max_total, cap) == box_filter(
+                    d, max_total, cap
+                )
 
 
 def test_kernel_command(runner):

@@ -1,27 +1,16 @@
-"""Row reduction backends and the ExactMatrix/LinearSolver wrappers.
+"""The row reducer and the ExactMatrix/LinearSolver wrappers.
 
-Both backends (pure and compiled, when built) are exercised with the same
-cases and compared bit for bit; ranks and nullspaces are checked against
-the naive rational elimination oracle.
+Ranks and nullspaces are checked against the naive rational elimination
+oracle.
 """
 
 import random
 from fractions import Fraction
 
-import pytest
-
 import weitzlab._rowred_py as rowred_py
 from weitzlab.linalg import BACKEND, ExactMatrix, LinearSolver, primitive_integer_vector
 
 from oracles import nullspace_oracle, rank_oracle, same_span
-
-backends = [pytest.param(rowred_py, id="python")]
-try:
-    import weitzlab._rowred as rowred_cy
-
-    backends.append(pytest.param(rowred_cy, id="cython"))
-except ImportError:
-    rowred_cy = None
 
 
 def random_int_matrix(rng, m, k, density=0.7, span=9):
@@ -31,34 +20,20 @@ def random_int_matrix(rng, m, k, density=0.7, span=9):
     ]
 
 
-@pytest.mark.parametrize("core", backends)
-def test_echelonize_rank_matches_oracle(core):
+def test_echelonize_rank_matches_oracle():
     rng = random.Random(42)
     for _ in range(60):
         m = rng.randint(1, 8)
         k = rng.randint(1, 8)
         mat = random_int_matrix(rng, m, k)
         rows = [row[:] for row in mat]
-        pivots = core.echelonize(rows, k)
+        pivots = rowred_py.echelonize(rows, k)
         assert len(pivots) == rank_oracle([[Fraction(v) for v in r] for r in mat])
         # echelon shape: pivot entries nonzero, zeros below and to the left
         for r, c in enumerate(pivots):
             assert rows[r][c] != 0
             assert all(rows[i][c] == 0 for i in range(r + 1, m))
             assert all(rows[r][cc] == 0 for cc in range(c))
-
-
-@pytest.mark.skipif(rowred_cy is None, reason="compiled backend not built")
-def test_backends_bit_identical():
-    rng = random.Random(1)
-    for _ in range(40):
-        m = rng.randint(1, 9)
-        k = rng.randint(1, 9)
-        mat = random_int_matrix(rng, m, k, density=0.5)
-        rows_a = [row[:] for row in mat]
-        rows_b = [row[:] for row in mat]
-        assert rowred_py.echelonize(rows_a, k) == rowred_cy.echelonize(rows_b, k)
-        assert rows_a == rows_b
 
 
 def test_nullspace_zero_matrix():
@@ -145,4 +120,4 @@ def test_primitive_integer_vector():
 
 
 def test_backend_reported():
-    assert BACKEND in ("python", "cython")
+    assert BACKEND == "python"
