@@ -6,19 +6,62 @@ bi-weight blocks, (p, q) -> (p + 1, q - 1); the kernel therefore splits as
 the direct sum of per-block kernels and each block gives a much smaller
 elimination than the whole component.  The test suite cross-checks the
 block route against whole-component elimination.
+
+Everything here runs on integers indexed by component position (see
+poly.component_strides): delta sends x^a y^b to sum_i b_i x^(a+e_i)
+y^(b-e_i), which in component order is the entry b_i at position
+pos - stride_i.  kernel_basis only turns the integer vectors into
+Polynomials at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
-from .derivation import delta, is_constant
-from .linalg import ExactMatrix, primitive_integer_vector
-from .poly import Monomial, Polynomial, component_basis
+from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
+from .linalg import ExactMatrix, integer_nullspace
+from .poly import Polynomial, component_basis, component_strides
 
-__all__ = ["delta_matrix", "KernelBasis", "kernel_basis"]
+__all__ = [
+    "delta_table",
+    "integer_delta",
+    "delta_matrix",
+    "kernel_blocks",
+    "KernelBasis",
+    "kernel_basis",
+]
+
+
+def delta_table(
+    d: int, n: tuple[int, ...]
+) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The y-weight and the delta image of every basis monomial, by position.
+
+    images[pos] lists (position, coefficient) pairs: b_i at pos - stride_i
+    for every i with b_i > 0.  itertools.product walks the y-exponent
+    tuples b in position order, since the last stride is 1.
+    """
+    strides = component_strides(d, n)
+    weights: list[int] = []
+    images: list[list[tuple[int, int]]] = []
+    for b in product(*(range(k + 1) for k in n)):
+        pos = len(weights)
+        weights.append(sum(b))
+        images.append([(pos - s, e) for s, e in zip(strides, b) if e])
+    return weights, images
+
+
+def integer_delta(
+    images: list[list[tuple[int, int]]], vector: dict[int, int]
+) -> dict[int, int]:
+    """delta of a component vector {position: coefficient}; zeros dropped."""
+    out: dict[int, int] = {}
+    for pos, c in vector.items():
+        for target, e in images[pos]:
+            out[target] = out.get(target, 0) + e * c
+    return {pos: c for pos, c in out.items() if c}
 
 
 def delta_matrix(d: int, n: tuple[int, ...]) -> ExactMatrix:
@@ -27,14 +70,43 @@ def delta_matrix(d: int, n: tuple[int, ...]) -> ExactMatrix:
     Rows and columns are both indexed by component_basis(d, n) in
     canonical order; column j holds the image of the j-th basis monomial.
     """
-    basis = component_basis(d, n)
-    index = {m: i for i, m in enumerate(basis)}
-    entries: dict[tuple[int, int], Fraction] = {}
-    for j, m in enumerate(basis):
-        image = delta(Polynomial.from_monomial(m))
-        for mi, c in image.terms():
-            entries[(index[mi], j)] = c
-    return ExactMatrix(len(basis), len(basis), entries)
+    _, images = delta_table(d, n)
+    entries = {(t, j): e for j, image in enumerate(images) for t, e in image}
+    return ExactMatrix(len(images), len(images), entries)
+
+
+def kernel_blocks(
+    d: int, n: tuple[int, ...]
+) -> list[tuple[int, list[int], list[list[int]]]]:
+    """Integer kernel of delta on component n, one bi-weight block at a time.
+
+    Returns (q, positions, vectors) for every y-weight q whose block has
+    a nonzero kernel, q ascending.  positions are the block's basis
+    positions in component order; each vector holds coprime integer
+    coefficients over them with the first nonzero positive, in
+    nullspace order.  Every vector is checked to be a constant.
+    """
+    weights, images = delta_table(d, n)
+    blocks: dict[int, list[int]] = {}
+    local = [0] * len(weights)
+    for pos, q in enumerate(weights):
+        block = blocks.setdefault(q, [])
+        local[pos] = len(block)
+        block.append(pos)
+    out = []
+    for q in sorted(blocks):
+        source = blocks[q]
+        rows = [[0] * len(source) for _ in blocks.get(q - 1, ())]
+        for j, pos in enumerate(source):
+            for target, e in images[pos]:
+                rows[local[target]][j] = e
+        vectors = integer_nullspace(rows, len(source))
+        for v in vectors:
+            if integer_delta(images, dict(zip(source, v))):
+                raise AssertionError("kernel vector failed the constancy check")
+        if vectors:
+            out.append((q, source, vectors))
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,42 +129,17 @@ class KernelBasis:
         return len(self.vectors)
 
 
-def _biweight_blocks(d: int, n: tuple[int, ...]) -> list[tuple[int, list[Monomial]]]:
-    blocks: dict[int, list[Monomial]] = {}
-    for m in component_basis(d, n):
-        blocks.setdefault(m.biweight()[1], []).append(m)
-    return sorted(blocks.items())
-
-
 @lru_cache(maxsize=None)
 def kernel_basis(d: int, n: tuple[int, ...]) -> KernelBasis:
-    """Solve delta = 0 block by block and rebuild polynomials."""
+    """kernel_blocks, rebuilt as polynomials."""
+    basis = component_basis(d, n)
     total = sum(n)
-    blocks = dict(_biweight_blocks(d, n))
     vectors: list[Polynomial] = []
     dims: list[tuple[tuple[int, int], int]] = []
-    for q in sorted(blocks):
-        source = blocks[q]
-        target = blocks.get(q - 1, [])
-        target_index = {m: i for i, m in enumerate(target)}
-        entries: dict[tuple[int, int], Fraction] = {}
-        for j, m in enumerate(source):
-            image = delta(Polynomial.from_monomial(m))
-            for mi, c in image.terms():
-                entries[(target_index[mi], j)] = c
-        matrix = ExactMatrix(len(target), len(source), entries)
-        block_vectors = []
-        for coeffs in matrix.nullspace():
-            ints = primitive_integer_vector(coeffs)
-            poly = Polynomial(
-                d, {m: Fraction(c) for m, c in zip(source, ints) if c}
+    for q, source, block in kernel_blocks(d, n):
+        dims.append(((total - q, q), len(block)))
+        for v in block:
+            vectors.append(
+                Polynomial(d, {basis[pos]: c for pos, c in zip(source, v) if c})
             )
-            block_vectors.append(poly)
-        if block_vectors:
-            dims.append(((total - q, q), len(block_vectors)))
-            vectors.extend(block_vectors)
-    basis = KernelBasis(d, n, tuple(vectors), tuple(dims))
-    for v in basis.vectors:
-        if not is_constant(v):
-            raise AssertionError("kernel vector failed the constancy check")
-    return basis
+    return KernelBasis(d, n, tuple(vectors), tuple(dims))

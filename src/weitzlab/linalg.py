@@ -3,8 +3,11 @@
 ExactMatrix is a sparse map (row, col) -> Fraction.  Rank, nullspace, and
 repeated linear solves all reduce to one fraction-free integer row
 reduction (rows are scaled to integers first; scaling an equation changes
-nothing).  Pivoting always takes the first nonzero row in canonical column
-order, so results are bit-for-bit deterministic.
+nothing).  Pivoting always takes the first nonzero row in canonical
+column order, so results are bit-for-bit deterministic.  integer_rank
+and integer_nullspace take integer rows directly; the verification
+engine, whose matrices are all integer, calls them without building an
+ExactMatrix.
 
 The row reduction itself is weitzlab._rowred_py.echelonize, always called
 through the module attribute _core so that a profiler can rebind it.
@@ -21,7 +24,59 @@ from . import _rowred_py as _core
 
 BACKEND = "python"
 
-__all__ = ["BACKEND", "ExactMatrix", "LinearSolver", "primitive_integer_vector"]
+__all__ = [
+    "BACKEND",
+    "ExactMatrix",
+    "LinearSolver",
+    "integer_nullspace",
+    "integer_rank",
+    "primitive_integer_vector",
+]
+
+
+def integer_rank(rows: list[list[int]], cols: int) -> int:
+    """Rank of dense integer rows of width cols; rows are reduced in place."""
+    return len(_core.echelonize(rows, cols))
+
+
+def integer_nullspace(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """Basis of the right kernel of dense integer rows, one vector per free column.
+
+    Vector k is the solution with its free column set and every other
+    free column zero (the echelon parametrization, deterministic given
+    the column order), scaled to coprime integers with the first nonzero
+    entry positive.  Back substitution stays in integers: when a pivot
+    p does not divide the pending sum s, the vector is scaled by
+    p / gcd(s, p) first.  Its last nonzero entry is its free column.
+    rows are reduced in place.
+    """
+    pivots = _core.echelonize(rows, cols)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        v = [0] * cols
+        v[fc] = 1
+        support = [fc]
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            row = rows[r]
+            s = 0
+            for j in support:
+                if j > pc:
+                    s += row[j] * v[j]
+            if s:
+                p = row[pc]
+                g = gcd(s, p)
+                if p != g:
+                    scale = p // g
+                    for j in support:
+                        v[j] *= scale
+                v[pc] = -s // g
+                support.append(pc)
+        basis.append(primitive_integer_vector(v))
+    return basis
 
 
 class ExactMatrix:
@@ -71,8 +126,7 @@ class ExactMatrix:
         return dense
 
     def rank(self) -> int:
-        rows = self.to_int_rows()
-        return len(_core.echelonize(rows, self.cols))
+        return integer_rank(self.to_int_rows(), self.cols)
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column.
@@ -80,26 +134,14 @@ class ExactMatrix:
         Vector k has 1 at its free column and 0 at every other free
         column; pivot coordinates come from back substitution.  The basis
         is the reduced echelon parametrization of the solution set and is
-        deterministic given the column order.
+        deterministic given the column order.  It is integer_nullspace
+        with each vector divided by its last nonzero entry, the free
+        column's.
         """
-        rows = self.to_int_rows()
-        pivots = _core.echelonize(rows, self.cols)
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
-        for fc in free_cols:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                row = rows[r]
-                s = Fraction(0)
-                for j in range(pc + 1, self.cols):
-                    if v[j]:
-                        s += row[j] * v[j]
-                if s:
-                    v[pc] = -s / row[pc]
-            basis.append(v)
+        for v in integer_nullspace(self.to_int_rows(), self.cols):
+            free = next(e for e in reversed(v) if e)
+            basis.append([Fraction(e, free) for e in v])
         return basis
 
     def mul_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
@@ -172,12 +214,12 @@ class LinearSolver:
         return x
 
 
-def primitive_integer_vector(v: Iterable[Fraction]) -> list[int]:
+def primitive_integer_vector(v: Iterable[Fraction | int]) -> list[int]:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     v = list(v)
     den = 1
     for e in v:
-        den = lcm(den, Fraction(e).denominator)
+        den = lcm(den, e.denominator)
     ints = [int(e * den) for e in v]
     g = 0
     for e in ints:

@@ -14,6 +14,11 @@ largest key first, so within one multidegree component the pure-x monomial
 comes first and the pure-y monomial last.  component_basis() enumerates
 each component in exactly this order, which makes every downstream matrix,
 kernel basis, and report deterministic.
+
+That order is a mixed radix: the monomial with y-exponents b sits at
+position sum(b_i * stride_i), stride_i = prod_{k>i} (n_k + 1), which is
+how the verification engine indexes a component without building any
+monomials (component_strides).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "component_basis",
+    "component_strides",
     "format_poly",
     "parse_poly",
     "PolyParseError",
@@ -324,6 +330,13 @@ class Polynomial:
 # -------------------------------------------------------------------- components
 
 
+def _check_multidegree(d: int, n: tuple[int, ...]) -> None:
+    if len(n) != d:
+        raise ValueError("multidegree length must equal d")
+    if any(k < 0 for k in n):
+        raise ValueError("multidegree entries must be nonnegative")
+
+
 @lru_cache(maxsize=None)
 def component_basis(d: int, n: tuple[int, ...]) -> tuple[Monomial, ...]:
     """All monomials of multidegree n, in canonical order.
@@ -333,15 +346,25 @@ def component_basis(d: int, n: tuple[int, ...]) -> tuple[Monomial, ...]:
     ... each from n_i down to 0, which coincides with the canonical
     (descending) monomial order.
     """
-    if len(n) != d:
-        raise ValueError("multidegree length must equal d")
-    if any(k < 0 for k in n):
-        raise ValueError("multidegree entries must be nonnegative")
+    _check_multidegree(d, n)
     ranges = [range(k, -1, -1) for k in n]
     basis = tuple(
         Monomial(a, tuple(k - e for k, e in zip(n, a))) for a in product(*ranges)
     )
     return basis
+
+
+def component_strides(d: int, n: tuple[int, ...]) -> tuple[int, ...]:
+    """Mixed-radix strides of component_basis(d, n).
+
+    The monomial x^a y^b sits at position sum(b_i * stride_i), which is
+    sum((n_i - a_i) * stride_i), with stride_i = prod_{k>i} (n_k + 1).
+    """
+    _check_multidegree(d, n)
+    strides = [1] * d
+    for i in range(d - 2, -1, -1):
+        strides[i] = strides[i + 1] * (n[i + 1] + 1)
+    return tuple(strides)
 
 
 # -------------------------------------------------------------------- text format

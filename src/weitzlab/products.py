@@ -11,7 +11,9 @@ than by counting.
 
 verify_component is the whole point: for one multidegree it computes the
 kernel dimension, the product-span dimension, and the independent tableau
-count, and reports whether all three agree.
+count, and reports whether all three agree.  It runs on integers indexed
+by component position (poly.component_strides): every product is
+expanded straight into an integer column, with no Polynomial in between.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb, prod
 
-from .derivation import delta, is_constant
-from .kernel import kernel_basis
-from .linalg import ExactMatrix, LinearSolver
-from .poly import Polynomial, component_basis, format_poly
+from .derivation import delta
+from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
+from .kernel import delta_table, integer_delta, kernel_blocks
+from .kernel import kernel_basis  # noqa: F401  (perfbench/tracer.py rebinds it here)
+from .linalg import ExactMatrix, LinearSolver, integer_rank
+from .poly import Polynomial, component_basis, component_strides, format_poly
 from .tableaux import kostka, two_row_partitions
 
 __all__ = [
@@ -133,18 +138,53 @@ def enumerate_products(d: int, n: tuple[int, ...]) -> tuple[ProductTerm, ...]:
     return tuple(found)
 
 
+def _product_column(t: ProductTerm, strides: tuple[int, ...]) -> dict[int, int]:
+    """t expanded in its component's coordinates, {position: coefficient}.
+
+    A position depends only on the y-exponents, so x^p shifts nothing, and
+
+        u_ij^e = sum_k (-1)^k C(e, k) (x_i y_j)^(e-k) (x_j y_i)^k
+
+    adds k*stride_i + (e-k)*stride_j with coefficient (-1)^k C(e, k).
+    """
+    column = {0: 1}
+    for (i, j), e in zip(pair_order(t.d), t.q):
+        if not e:
+            continue
+        si, sj = strides[i - 1], strides[j - 1]
+        factor = [
+            (k * si + (e - k) * sj, -comb(e, k) if k & 1 else comb(e, k))
+            for k in range(e + 1)
+        ]
+        out: dict[int, int] = {}
+        for pos, c in column.items():
+            for offset, f in factor:
+                key = pos + offset
+                out[key] = out.get(key, 0) + c * f
+        column = out
+    return {pos: c for pos, c in column.items() if c}
+
+
+def _product_columns(d: int, n: tuple[int, ...]) -> list[dict[int, int]]:
+    """Every product of multidegree n as a column, each checked to be a constant."""
+    strides = component_strides(d, n)
+    _, images = delta_table(d, n)
+    columns = []
+    for t in enumerate_products(d, n):
+        column = _product_column(t, strides)
+        if integer_delta(images, column):
+            raise AssertionError(f"product {t.label()} is not a constant")
+        columns.append(column)
+    return columns
+
+
 @lru_cache(maxsize=None)
 def expand(t: ProductTerm) -> Polynomial:
     """Multiply the product out; the result is always a constant of delta."""
-    d = t.d
-    poly = Polynomial.one(d)
-    for i, e in enumerate(t.p, start=1):
-        if e:
-            poly = poly * Polynomial.x(i, d) ** e
-    for (i, j), e in zip(pair_order(d), t.q):
-        if e:
-            poly = poly * make_u(d, i, j) ** e
-    return poly
+    n = t.multidegree()
+    basis = component_basis(t.d, n)
+    column = _product_column(t, component_strides(t.d, n))
+    return Polynomial(t.d, {basis[pos]: c for pos, c in column.items()})
 
 
 class NotInKernel(ValueError):
@@ -168,22 +208,37 @@ def _component_solver(d: int, n: tuple[int, ...]) -> LinearSolver:
     """Solver for the expansion matrix of one component, built once.
 
     Columns are the expanded products in enumeration order, rows the
-    component basis monomials; its rank is the span dimension and its
-    solve() decomposes kernel elements.
+    component basis monomials; its solve() decomposes kernel elements.
     """
-    basis = component_basis(d, n)
-    index = {m: i for i, m in enumerate(basis)}
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col, term in enumerate(enumerate_products(d, n)):
-        for m, c in expand(term).terms():
-            entries[(index[m], col)] = c
-    matrix = ExactMatrix(len(basis), len(enumerate_products(d, n)), entries)
-    return LinearSolver(matrix)
+    columns = _product_columns(d, n)
+    entries = {
+        (pos, k): c for k, column in enumerate(columns) for pos, c in column.items()
+    }
+    return LinearSolver(ExactMatrix(prod(k + 1 for k in n), len(columns), entries))
 
 
 def span_dimension(d: int, n: tuple[int, ...]) -> int:
-    """Exact rank of the products of multidegree n inside their component."""
-    return _component_solver(d, n).rank
+    """Exact rank of the products of multidegree n inside their component.
+
+    x^p * prod u_ij^q_ij has y-weight sum(q) throughout, so the expansion
+    matrix is block diagonal by y-weight and its rank is summed per block,
+    each block restricted to the positions its products touch.
+    """
+    blocks: dict[int, list[dict[int, int]]] = {}
+    for t, column in zip(enumerate_products(d, n), _product_columns(d, n)):
+        blocks.setdefault(sum(t.q), []).append(column)
+    rank = 0
+    for columns in blocks.values():
+        positions = sorted({pos for column in columns for pos in column})
+        index = {pos: i for i, pos in enumerate(positions)}
+        rows = []
+        for column in columns:
+            row = [0] * len(positions)
+            for pos, c in column.items():
+                row[index[pos]] = c
+            rows.append(row)
+        rank += integer_rank(rows, len(positions))
+    return rank
 
 
 def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
@@ -220,10 +275,10 @@ def decompose(f: Polynomial) -> dict[ProductTerm, Fraction]:
         )
     d = f.d
     solver = _component_solver(d, n)
-    rhs = [Fraction(0)] * len(component_basis(d, n))
-    index = {m: i for i, m in enumerate(component_basis(d, n))}
+    strides = component_strides(d, n)
+    rhs = [Fraction(0)] * prod(k + 1 for k in n)
     for m, c in f.terms():
-        rhs[index[m]] = c
+        rhs[sum(b * s for b, s in zip(m.b, strides))] = c
     solution = solver.solve(rhs)
     if solution is None:
         raise ConjectureViolation(
@@ -263,16 +318,13 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
 
     dim_kernel comes from exact elimination, dim_span from the rank of the
     expanded products, and the oracle from summing Kostka numbers over
-    two-row shapes.  As a side check every expanded product is confirmed
-    to be a constant.
+    two-row shapes.  As side checks every kernel vector and every
+    expanded product is confirmed to be a constant.
     """
     start = time.perf_counter()
     n = tuple(n)
-    dim_kernel = kernel_basis(d, n).dimension
+    dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, n))
     products = enumerate_products(d, n)
-    for t in products:
-        if not is_constant(expand(t)):
-            raise AssertionError(f"product {t.label()} is not a constant")
     dim_span = span_dimension(d, n)
     oracle = sum(kostka(shape, n) for shape in two_row_partitions(sum(n)))
     verdict = dim_kernel == dim_span == oracle

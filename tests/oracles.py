@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from weitzlab.poly import Monomial, Polynomial
 
@@ -130,8 +130,6 @@ def standard_count_oracle(shape: tuple[int, int]) -> int:
 
 def products_oracle(d: int, n: tuple[int, ...]) -> set[tuple[tuple, tuple]]:
     """All (p, q) exponent arrays of multidegree n by bounded brute force."""
-    from itertools import combinations
-
     pairs = list(combinations(range(1, d + 1), 2))
     bounds = [min(n[i - 1], n[j - 1]) for i, j in pairs]
     out = set()
@@ -144,6 +142,21 @@ def products_oracle(d: int, n: tuple[int, ...]) -> set[tuple[tuple, tuple]]:
         if all(e >= 0 for e in p):
             out.add((p, q))
     return out
+
+
+def expand_oracle(t) -> Polynomial:
+    """Multiply a ProductTerm out by repeated Polynomial multiplication."""
+    d = t.d
+    poly = Polynomial.one(d)
+    for i, e in enumerate(t.p, start=1):
+        if e:
+            poly = poly * Polynomial.x(i, d) ** e
+    for (i, j), e in zip(combinations(range(1, d + 1), 2), t.q):
+        if e:
+            x_i, y_i = Polynomial.x(i, d), Polynomial.y(i, d)
+            x_j, y_j = Polynomial.x(j, d), Polynomial.y(j, d)
+            poly = poly * (x_i * y_j - x_j * y_i) ** e
+    return poly
 
 
 # ------------------------------------------------------------ random inputs

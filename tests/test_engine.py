@@ -1,0 +1,92 @@
+"""The integer component engine against the Polynomial route it replaced.
+
+Every component with d <= 4 and |n| <= 5 is checked three ways: product
+columns against repeated Polynomial multiplication, the integer delta
+against derivation.delta, and the block-split span rank against the
+decomposition solver's rank.  The fault-injection tests corrupt one
+column or one kernel vector and require the constancy side checks to
+fire with their usual messages.
+"""
+
+import pytest
+
+from weitzlab import kernel, products
+from weitzlab.derivation import delta
+from weitzlab.kernel import delta_table, kernel_basis
+from weitzlab.poly import Polynomial, component_basis
+from weitzlab.products import (
+    ProductTerm,
+    _component_solver,
+    _product_columns,
+    enumerate_products,
+    expand,
+    span_dimension,
+    verify_component,
+)
+from weitzlab.report import enumerate_multidegrees
+
+from oracles import expand_oracle
+
+COMPONENTS = [(d, n) for d in range(1, 5) for n in enumerate_multidegrees(d, 5)]
+
+
+def as_column(poly, d, n):
+    index = {m: i for i, m in enumerate(component_basis(d, n))}
+    return {index[m]: c for m, c in poly.terms()}
+
+
+def test_product_columns_match_multiplication_oracle():
+    for d, n in COMPONENTS:
+        columns = _product_columns(d, n)
+        terms = enumerate_products(d, n)
+        assert len(columns) == len(terms)
+        for t, column in zip(terms, columns):
+            oracle = expand_oracle(t)
+            assert column == as_column(oracle, d, n), t.label()
+            assert expand(t) == oracle
+
+
+def test_integer_delta_matches_derivation():
+    for d, n in COMPONENTS:
+        weights, images = delta_table(d, n)
+        for pos, m in enumerate(component_basis(d, n)):
+            assert weights[pos] == sum(m.b)
+            image = delta(Polynomial.from_monomial(m))
+            assert dict(images[pos]) == as_column(image, d, n)
+
+
+def test_span_rank_matches_solver_rank():
+    for d, n in COMPONENTS:
+        assert span_dimension(d, n) == _component_solver(d, n).rank
+
+
+def test_corrupted_product_column_fails_verification(monkeypatch):
+    real = products._product_column
+    u12 = ProductTerm(p=(0, 0), q=(1,))
+
+    def corrupt(t, strides):
+        column = real(t, strides)
+        if t == u12:
+            column = {pos: c for pos, c in column.items() if c > 0}  # x1*y2 alone
+        return column
+
+    monkeypatch.setattr(products, "_product_column", corrupt)
+    with pytest.raises(AssertionError, match=r"^product u12 is not a constant$"):
+        verify_component(2, (1, 1))
+
+
+def test_corrupted_kernel_vector_fails_both_routes(monkeypatch):
+    real = kernel.integer_nullspace
+
+    def corrupt(rows, cols):
+        vectors = real(rows, cols)
+        return [[v[0] + 1] + v[1:] if len(v) > 1 else v for v in vectors]
+
+    monkeypatch.setattr(kernel, "integer_nullspace", corrupt)
+    kernel_basis.cache_clear()
+    message = r"^kernel vector failed the constancy check$"
+    with pytest.raises(AssertionError, match=message):
+        verify_component(2, (1, 1))
+    with pytest.raises(AssertionError, match=message):
+        kernel_basis(2, (1, 1))
+    kernel_basis.cache_clear()
