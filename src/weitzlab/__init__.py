@@ -19,7 +19,7 @@ from .derivation import (
     is_constant,
 )
 from .kernel import KernelBasis, delta_matrix, kernel_basis
-from .linalg import BACKEND, ExactMatrix, LinearSolver
+from .linalg import BACKEND, LinearSolver
 from .poly import (
     Monomial,
     Polynomial,
@@ -73,7 +73,6 @@ __all__ = [
     "KernelBasis",
     "delta_matrix",
     "kernel_basis",
-    "ExactMatrix",
     "LinearSolver",
     "Monomial",
     "Polynomial",

@@ -169,6 +169,8 @@ def decompose_cmd(d, output_format, split, source):
         ]
         click.echo(json.dumps(payload, indent=2))
     else:
+        if not certificates:
+            click.echo("  0")
         for n, cert in certificates.items():
             if len(certificates) > 1:
                 click.echo(f"component n={','.join(map(str, n))}:")

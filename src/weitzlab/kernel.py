@@ -4,8 +4,9 @@ delta preserves every multidegree component, so its kernel is computed
 component by component.  Within a component delta only connects adjacent
 bi-weight blocks, (p, q) -> (p + 1, q - 1); the kernel therefore splits as
 the direct sum of per-block kernels and each block gives a much smaller
-elimination than the whole component.  The test suite cross-checks the
-block route against whole-component elimination.
+elimination than the whole component.  delta_matrix is the whole
+component's matrix as dense integer rows; the test suite eliminates it in
+full to cross-check the block route.
 
 Everything here runs on integers indexed by component position (see
 poly.component_strides): delta sends x^a y^b to sum_i b_i x^(a+e_i)
@@ -21,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
-from .linalg import ExactMatrix, integer_nullspace
+from .linalg import integer_nullspace
 from .poly import Polynomial, component_basis, component_strides
 
 __all__ = [
@@ -64,15 +65,18 @@ def integer_delta(
     return {pos: c for pos, c in out.items() if c}
 
 
-def delta_matrix(d: int, n: tuple[int, ...]) -> ExactMatrix:
-    """Matrix of delta on the multidegree-n component.
+def delta_matrix(d: int, n: tuple[int, ...]) -> list[list[int]]:
+    """Matrix of delta on the multidegree-n component, as dense integer rows.
 
     Rows and columns are both indexed by component_basis(d, n) in
     canonical order; column j holds the image of the j-th basis monomial.
     """
     _, images = delta_table(d, n)
-    entries = {(t, j): e for j, image in enumerate(images) for t, e in image}
-    return ExactMatrix(len(images), len(images), entries)
+    rows = [[0] * len(images) for _ in images]
+    for j, image in enumerate(images):
+        for t, e in image:
+            rows[t][j] = e
+    return rows
 
 
 def kernel_blocks(

@@ -1,13 +1,12 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on dense integer rows.
 
-ExactMatrix is a sparse map (row, col) -> Fraction.  Rank, nullspace, and
-repeated linear solves all reduce to one fraction-free integer row
-reduction (rows are scaled to integers first; scaling an equation changes
-nothing).  Pivoting always takes the first nonzero row in canonical
-column order, so results are bit-for-bit deterministic.  integer_rank
-and integer_nullspace take integer rows directly; the verification
-engine, whose matrices are all integer, calls them without building an
-ExactMatrix.
+A matrix is a list of rows of Python ints.  Rank, nullspace and repeated
+linear solves all reduce to one fraction-free integer row reduction and
+share one integer back substitution; rational input (a right-hand side
+to LinearSolver.solve) is scaled to integers first, and Fractions are
+built only for a returned solution.  Pivoting always takes the first
+nonzero row in canonical column order, so results are bit-for-bit
+deterministic.
 
 The row reduction itself is weitzlab._rowred_py.echelonize, always called
 through the module attribute _core so that a profiler can rebind it.
@@ -26,7 +25,6 @@ BACKEND = "python"
 
 __all__ = [
     "BACKEND",
-    "ExactMatrix",
     "LinearSolver",
     "integer_nullspace",
     "integer_rank",
@@ -39,16 +37,46 @@ def integer_rank(rows: list[list[int]], cols: int) -> int:
     return len(_core.echelonize(rows, cols))
 
 
+def _back_substitute(
+    rows: list[list[int]], pivots: list[int], width: int, col: int
+) -> list[int]:
+    """The integer vector that echelon rows annihilate, set at non-pivot column col.
+
+    rows[r] has its pivot at pivots[r].  The vector has length width, is
+    nonzero at col and zero at every other non-pivot column; its pivot
+    coordinates are solved for from the last row up and stay integers:
+    when a pivot p does not divide the pending sum s, the vector is
+    scaled by p / gcd(s, p) first.
+    """
+    v = [0] * width
+    v[col] = 1
+    support = [col]
+    for r in range(len(pivots) - 1, -1, -1):
+        pc = pivots[r]
+        row = rows[r]
+        s = 0
+        for j in support:
+            if j > pc:
+                s += row[j] * v[j]
+        if s:
+            p = row[pc]
+            g = gcd(s, p)
+            if p != g:
+                scale = p // g
+                for j in support:
+                    v[j] *= scale
+            v[pc] = -s // g
+            support.append(pc)
+    return v
+
+
 def integer_nullspace(rows: list[list[int]], cols: int) -> list[list[int]]:
     """Basis of the right kernel of dense integer rows, one vector per free column.
 
     Vector k is the solution with its free column set and every other
     free column zero (the echelon parametrization, deterministic given
     the column order), scaled to coprime integers with the first nonzero
-    entry positive.  Back substitution stays in integers: when a pivot
-    p does not divide the pending sum s, the vector is scaled by
-    p / gcd(s, p) first.  Its last nonzero entry is its free column.
-    rows are reduced in place.
+    entry positive.  rows are reduced in place.
     """
     pivots = _core.echelonize(rows, cols)
     pivot_set = set(pivots)
@@ -56,162 +84,60 @@ def integer_nullspace(rows: list[list[int]], cols: int) -> list[list[int]]:
     for fc in range(cols):
         if fc in pivot_set:
             continue
-        v = [0] * cols
-        v[fc] = 1
-        support = [fc]
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            row = rows[r]
-            s = 0
-            for j in support:
-                if j > pc:
-                    s += row[j] * v[j]
-            if s:
-                p = row[pc]
-                g = gcd(s, p)
-                if p != g:
-                    scale = p // g
-                    for j in support:
-                        v[j] *= scale
-                v[pc] = -s // g
-                support.append(pc)
+        v = _back_substitute(rows, pivots, cols, fc)
         basis.append(primitive_integer_vector(v))
     return basis
 
 
-class ExactMatrix:
-    """Sparse rational matrix with immutable-by-convention entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        clean: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry ({r}, {c}) out of range")
-                v = Fraction(v)
-                if v != 0:
-                    clean[(r, c)] = v
-        self.entries = clean
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence]) -> "ExactMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                if v != 0:
-                    entries[(r, c)] = Fraction(v)
-        return cls(rows, cols, entries)
-
-    def get(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), Fraction(0))
-
-    def to_int_rows(self) -> list[list[int]]:
-        """Dense integer rows; each row scaled by the lcm of its denominators."""
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        scale = [1] * self.rows
-        for (r, _c), v in self.entries.items():
-            scale[r] = lcm(scale[r], v.denominator)
-        for (r, c), v in self.entries.items():
-            dense[r][c] = int(v * scale[r])
-        return dense
-
-    def rank(self) -> int:
-        return integer_rank(self.to_int_rows(), self.cols)
-
-    def nullspace(self) -> list[list[Fraction]]:
-        """Basis of the right kernel, one vector per free column.
-
-        Vector k has 1 at its free column and 0 at every other free
-        column; pivot coordinates come from back substitution.  The basis
-        is the reduced echelon parametrization of the solution set and is
-        deterministic given the column order.  It is integer_nullspace
-        with each vector divided by its last nonzero entry, the free
-        column's.
-        """
-        basis = []
-        for v in integer_nullspace(self.to_int_rows(), self.cols):
-            free = next(e for e in reversed(v) if e)
-            basis.append([Fraction(e, free) for e in v])
-        return basis
-
-    def mul_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.rows
-        for (r, c), a in self.entries.items():
-            if v[c]:
-                out[r] += a * v[c]
-        return out
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
-
-
 class LinearSolver:
-    """Reusable exact solver for A x = b with a fixed A and many b.
+    """Reusable exact solver for A x = b with a fixed integer A and many b.
 
-    One fraction-free reduction of [A | I] is done up front; each solve is
-    a transform-and-back-substitute.  Among all solutions the returned one
-    sets every free variable to zero, so its support sits on the earliest
-    independent columns of A (echelon pivot preference).  solve() returns
-    None when the system is inconsistent.
+    One fraction-free reduction of [A | I] is done up front, which leaves
+    U = T A in echelon form together with the transform T.  A solve
+    scales b to integers, forms w = T b, and takes x from the nullspace
+    of [U | -w] at the right-hand-side column, through the same back
+    substitution as integer_nullspace.  Among all solutions the returned
+    one sets every free variable to zero, so its support sits on the
+    earliest independent columns of A (echelon pivot preference).
+    solve() returns None when the system is inconsistent.  rows are
+    reduced in place.
     """
 
-    __slots__ = ("matrix", "_rows", "_pivots", "_ncols", "_nrows")
+    __slots__ = ("_rows", "_transform", "_pivots", "_ncols")
 
-    def __init__(self, matrix: ExactMatrix):
-        self.matrix = matrix
-        self._ncols = matrix.cols
-        self._nrows = matrix.rows
-        aug = matrix.to_int_rows()
-        for r, row in enumerate(aug):
-            row.extend(1 if i == r else 0 for i in range(matrix.rows))
-        self._pivots = _core.echelonize(aug, matrix.cols)
-        self._rows = aug
+    def __init__(self, rows: list[list[int]], cols: int):
+        m = len(rows)
+        for r, row in enumerate(rows):
+            row.extend(1 if i == r else 0 for i in range(m))
+        self._pivots = _core.echelonize(rows, cols)
+        self._rows = [row[:cols] for row in rows[: len(self._pivots)]]
+        self._transform = [row[cols:] for row in rows]
+        self._ncols = cols
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def pivot_columns(self) -> list[int]:
-        return list(self._pivots)
-
-    def solve(self, b: Sequence[Fraction]) -> list[Fraction] | None:
-        if len(b) != self._nrows:
+    def solve(self, b: Sequence[Fraction | int]) -> list[Fraction] | None:
+        if len(b) != len(self._transform):
             raise ValueError("right-hand side length mismatch")
-        n, m = self._ncols, self._nrows
-        w = []
-        for row in self._rows:
-            acc = Fraction(0)
-            for j in range(m):
-                t = row[n + j]
-                if t and b[j]:
-                    acc += t * b[j]
-            w.append(acc)
-        for r in range(len(self._pivots), m):
-            if w[r]:
-                return None
-        x = [Fraction(0)] * n
-        for r in range(len(self._pivots) - 1, -1, -1):
-            pc = self._pivots[r]
-            row = self._rows[r]
-            s = w[r]
-            for j in range(pc + 1, n):
-                if x[j]:
-                    s -= row[j] * x[j]
-            x[pc] = s / row[pc]
-        return x
+        den = 1
+        for e in b:
+            if e:
+                den = lcm(den, e.denominator)
+        scaled = [
+            (j, e.numerator * (den // e.denominator)) for j, e in enumerate(b) if e
+        ]
+        w = [sum(t[j] * c for j, c in scaled) for t in self._transform]
+        rank = len(self._pivots)
+        if any(w[rank:]):
+            return None
+        n = self._ncols
+        rows = [row + [-wr] for row, wr in zip(self._rows, w)]
+        v = _back_substitute(rows, self._pivots, n + 1, n)
+        scale = v[n] * den
+        zero = Fraction(0)
+        return [Fraction(e, scale) if e else zero for e in v[:n]]
 
 
 def primitive_integer_vector(v: Iterable[Fraction | int]) -> list[int]:

@@ -29,7 +29,7 @@ from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
 from .kernel import delta_table, integer_delta, kernel_blocks
 from .kernel import kernel_basis  # noqa: F401  (perfbench/tracer.py rebinds it here)
-from .linalg import ExactMatrix, LinearSolver, integer_rank
+from .linalg import LinearSolver, integer_rank
 from .poly import Polynomial, component_basis, component_strides, format_poly
 from .tableaux import kostka, two_row_partitions
 
@@ -211,10 +211,11 @@ def _component_solver(d: int, n: tuple[int, ...]) -> LinearSolver:
     component basis monomials; its solve() decomposes kernel elements.
     """
     columns = _product_columns(d, n)
-    entries = {
-        (pos, k): c for k, column in enumerate(columns) for pos, c in column.items()
-    }
-    return LinearSolver(ExactMatrix(prod(k + 1 for k in n), len(columns), entries))
+    rows = [[0] * len(columns) for _ in range(prod(k + 1 for k in n))]
+    for k, column in enumerate(columns):
+        for pos, c in column.items():
+            rows[pos][k] = c
+    return LinearSolver(rows, len(columns))
 
 
 def span_dimension(d: int, n: tuple[int, ...]) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from ._version import __version__
 from .derivation import build_chain, delta
 from .kernel import kernel_basis
-from .linalg import ExactMatrix
+from .linalg import integer_rank, primitive_integer_vector
 from .products import ComponentReport, verify_component
 from .tableaux import standard_tableau_count, two_row_partitions
 from .tensor import (
@@ -223,9 +223,9 @@ def _crosscheck_component(d: int, n: tuple[int, ...]) -> dict:
         rank_dim = hwv_space_dimension(total, shape)
         basis = standard_hwv_basis(d, n, shape)
         constants = all(delta_tensor(w).is_zero for w in basis)
-        coords = [element_y_coordinates(w)[1] for w in basis]
+        rows = [primitive_integer_vector(element_y_coordinates(w)[1]) for w in basis]
         independent = (
-            ExactMatrix.from_dense(coords).rank() == len(basis) if basis else True
+            integer_rank(rows, len(rows[0])) == len(basis) if basis else True
         )
         equivariant = all(
             project_to_polynomial(delta_tensor(w)) == delta(project_to_polynomial(w))

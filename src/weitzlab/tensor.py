@@ -17,6 +17,10 @@ Highest weight vectors enter through two constructors:
   first.  One element per standard tableau gives a basis of the
   highest-weight space of its shape, which is how tableau counts become a
   dimension oracle for Delta kernels.
+
+hwv_space_dimension measures that kernel directly: the matrix of Delta
+from one weight block to the next is built as dense integer rows and
+ranked with linalg.integer_rank.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix
+from .linalg import integer_rank
 from .poly import Monomial, Polynomial
 from .tableaux import standard_tableaux
 
@@ -334,18 +339,15 @@ def weight_block_words(total: int, q: int) -> list[tuple[int, ...]]:
     return [tuple(c) for c in combinations(range(total), q)]
 
 
-@lru_cache(maxsize=None)
-def _delta_block_matrix(total: int, q: int) -> ExactMatrix:
+def _delta_block_rows(total: int, q: int) -> list[list[int]]:
+    """delta_tensor from weight block q to block q - 1, as dense integer rows."""
     source = weight_block_words(total, q)
     target_index = {w: i for i, w in enumerate(weight_block_words(total, q - 1))}
-    entries: dict[tuple[int, int], Fraction] = {}
+    rows = [[0] * len(source) for _ in target_index]
     for j, positions in enumerate(source):
         for p in positions:
-            image = tuple(t for t in positions if t != p)
-            entries[(target_index[image], j)] = entries.get(
-                (target_index[image], j), Fraction(0)
-            ) + 1
-    return ExactMatrix(len(target_index), len(source), entries)
+            rows[target_index[tuple(t for t in positions if t != p)]][j] += 1
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -360,8 +362,8 @@ def hwv_space_dimension(total: int, shape: tuple[int, int]) -> int:
         raise ValueError("shape size must equal the word length")
     if l2 == 0:
         return 1
-    matrix = _delta_block_matrix(total, l2)
-    return matrix.cols - matrix.rank()
+    cols = comb(total, l2)
+    return cols - integer_rank(_delta_block_rows(total, l2), cols)
 
 
 def element_y_coordinates(w: TensorElement) -> tuple[int, list[Fraction]]:

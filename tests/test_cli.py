@@ -187,6 +187,13 @@ def test_decompose_inhomogeneous(runner):
     assert "x1^2: 1" in result.output
 
 
+def test_decompose_zero(runner):
+    for flags in ([], ["--split"]):
+        result = runner.invoke(main, ["decompose", "--d", "2", *flags], input="0\n")
+        assert result.exit_code == 0
+        assert result.output == "  0\n"
+
+
 def test_decompose_parse_error(runner):
     result = runner.invoke(main, ["decompose", "--d", "2"], input="x1 ** 2\n")
     assert result.exit_code == 2

@@ -1,18 +1,24 @@
 """Recorded outputs that a refactor must reproduce exactly.
 
-The content digests are the reference configurations from ROADMAP.md.
-golden/kernel.txt holds `weitz kernel` output recorded before the
-integer component engine replaced the Polynomial route; each block is
-the command line followed by its output.
+The verify digests are the reference configurations from ROADMAP.md; the
+crosscheck digests were recorded before the tensor-block rank and the
+independence check moved to integer rows.  golden/kernel.txt holds
+`weitz kernel` output recorded before the integer component engine
+replaced the Polynomial route, and golden/decompose.txt holds
+`weitz decompose --format json` certificates recorded before the solver's
+back substitution moved to integers.  Each golden block is the command
+line, with its standard input as a here-string after `<<<`, followed by
+its output.
 """
 
+import shlex
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from weitzlab.cli import main
-from weitzlab.report import SweepConfig, run_verify_sweep
+from weitzlab.report import SweepConfig, run_crosscheck, run_verify_sweep
 
 INVARIANTS = [
     (2, 8, 45, "bc06c2ac48193ebd049b1209e0678915b35a4f4002ccea386a7980092e6f43fa"),
@@ -20,15 +26,28 @@ INVARIANTS = [
     (4, 6, 210, "179541056d156e87bdb061ac693a9b7f0402d3af6f1dc445d1de4d482292dc68"),
 ]
 
-GOLDEN = Path(__file__).parent / "golden" / "kernel.txt"
+CROSSCHECK = [
+    (2, 6, 28, "912a55e3a3ec048c122525a8c373ce3890fe90191891d8449035fabede48380e"),
+    (3, 4, 35, "c6b76c851ea716e1de138963ea536f314be6a4f4d0ccde1559d8c4af0b2e74d6"),
+    (4, 4, 70, "1802571bf1e3100e64e783434d995a9c0f18df788980b0f04f6eebfb16a0874b"),
+]
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_runs(name):
+    """(argv, stdin or None, output) for every `$ weitz ...` block of golden/name."""
+    runs = []
+    for block in (GOLDEN / name).read_text().split("$ weitz ")[1:]:
+        command, _, output = block.partition("\n")
+        command, _, here = command.partition(" <<< ")
+        stdin = shlex.split(here)[0] + "\n" if here else None
+        runs.append((command.split(), stdin, output))
+    return runs
 
 
 def golden_kernel_runs():
-    runs = []
-    for block in GOLDEN.read_text().split("$ weitz ")[1:]:
-        command, _, output = block.partition("\n")
-        runs.append((command.split(), output))
-    return runs
+    return [(args, output) for args, _, output in golden_runs("kernel.txt")]
 
 
 @pytest.mark.parametrize("d,max_degree,components,digest", INVARIANTS)
@@ -44,3 +63,26 @@ def test_kernel_output_matches_golden(args, expected):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0
     assert result.output == expected
+
+
+DECOMPOSE_RUNS = golden_runs("decompose.txt")
+
+
+@pytest.mark.parametrize(
+    "args,stdin,expected",
+    DECOMPOSE_RUNS,
+    ids=[stdin.strip() for _, stdin, _ in DECOMPOSE_RUNS],
+)
+def test_decompose_output_matches_golden(args, stdin, expected):
+    result = CliRunner().invoke(main, args, input=stdin)
+    assert result.exit_code == 0
+    assert result.output == expected
+
+
+@pytest.mark.parametrize("d,limit,contents,digest", CROSSCHECK)
+def test_crosscheck_digests(d, limit, contents, digest):
+    config = SweepConfig(d=d, tensor_crosscheck_limit=limit)
+    report = run_crosscheck(config).to_dict()
+    assert report["aggregate"]["components_checked"] == contents
+    assert report["aggregate"]["violations"] == 0
+    assert report["content_digest"] == digest

@@ -1,4 +1,4 @@
-"""The row reducer and the ExactMatrix/LinearSolver wrappers.
+"""The row reducer and the integer rank, nullspace and LinearSolver on top.
 
 Ranks and nullspaces are checked against the naive rational elimination
 oracle.
@@ -8,7 +8,13 @@ import random
 from fractions import Fraction
 
 import weitzlab._rowred_py as rowred_py
-from weitzlab.linalg import BACKEND, ExactMatrix, LinearSolver, primitive_integer_vector
+from weitzlab.linalg import (
+    BACKEND,
+    LinearSolver,
+    integer_nullspace,
+    integer_rank,
+    primitive_integer_vector,
+)
 
 from oracles import nullspace_oracle, rank_oracle, same_span
 
@@ -18,6 +24,14 @@ def random_int_matrix(rng, m, k, density=0.7, span=9):
         [rng.randint(-span, span) if rng.random() < density else 0 for _ in range(k)]
         for _ in range(m)
     ]
+
+
+def mul_vector(rows, v):
+    return [sum(a * e for a, e in zip(row, v)) for row in rows]
+
+
+def copy(rows):
+    return [row[:] for row in rows]
 
 
 def test_echelonize_rank_matches_oracle():
@@ -37,8 +51,7 @@ def test_echelonize_rank_matches_oracle():
 
 
 def test_nullspace_zero_matrix():
-    m = ExactMatrix(3, 3)
-    basis = m.nullspace()
+    basis = integer_nullspace([[0] * 3 for _ in range(3)], 3)
     assert len(basis) == 3
     for i, v in enumerate(basis):
         assert v[i] == 1
@@ -46,11 +59,9 @@ def test_nullspace_zero_matrix():
 
 
 def test_nullspace_invertible_matrix_empty():
-    m = ExactMatrix.from_dense(
-        [[1, 2, 3], [0, 1, 4], [5, 6, Fraction(1, 2)]]
-    )
-    assert m.rank() == 3
-    assert m.nullspace() == []
+    rows = [[1, 2, 3], [0, 1, 4], [10, 12, 1]]
+    assert integer_rank(copy(rows), 3) == 3
+    assert integer_nullspace(copy(rows), 3) == []
 
 
 def test_nullspace_matches_oracle_and_annihilates():
@@ -58,42 +69,42 @@ def test_nullspace_matches_oracle_and_annihilates():
     for _ in range(40):
         m = rng.randint(1, 7)
         k = rng.randint(1, 7)
-        dense = [
-            [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(k)]
-            for _ in range(m)
-        ]
-        mat = ExactMatrix.from_dense(dense)
-        basis = mat.nullspace()
+        rows = random_int_matrix(rng, m, k)
+        basis = integer_nullspace(copy(rows), k)
         for v in basis:
-            assert all(e == 0 for e in mat.mul_vector(v))
-        expected = nullspace_oracle(dense, k)
+            assert all(e == 0 for e in mul_vector(rows, v))
+            assert primitive_integer_vector(v) == v
+        expected = nullspace_oracle(rows, k)
         assert len(basis) == len(expected)
         assert same_span(basis, expected)
 
 
 def test_nullspace_deterministic():
     dense = [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]]
-    m = ExactMatrix.from_dense(dense)
-    first = m.nullspace()
-    second = ExactMatrix.from_dense(dense).nullspace()
+    first = integer_nullspace(copy(dense), 4)
+    second = integer_nullspace(copy(dense), 4)
     assert first == second
-    # free-column parametrization: vector k has 1 at its own free column
-    assert first[0][0] == 1 and first[1][2] == 1
+    # free-column parametrization: vector k is nonzero at its own free
+    # column and zero at every other free column (columns 0 and 2 here)
+    free = [0, 2]
+    assert len(first) == len(free)
+    for k, v in enumerate(first):
+        for i, fc in enumerate(free):
+            assert (v[fc] != 0) == (i == k)
 
 
 def test_solver_consistent_and_inconsistent():
-    a = ExactMatrix.from_dense([[1, 0], [0, 1], [1, 1]])
-    solver = LinearSolver(a)
+    solver = LinearSolver([[1, 0], [0, 1], [1, 1]], 2)
     assert solver.rank == 2
     x = solver.solve([Fraction(2), Fraction(3), Fraction(5)])
     assert x == [Fraction(2), Fraction(3)]
+    assert solver.solve([2, 3, 5]) == x
     assert solver.solve([Fraction(2), Fraction(3), Fraction(4)]) is None
 
 
 def test_solver_prefers_early_columns():
     # columns 0 and 1 identical: the certificate must sit on column 0
-    a = ExactMatrix.from_dense([[1, 1, 0], [0, 0, 1]])
-    solver = LinearSolver(a)
+    solver = LinearSolver([[1, 1, 0], [0, 0, 1]], 3)
     x = solver.solve([Fraction(3), Fraction(7)])
     assert x == [Fraction(3), Fraction(0), Fraction(7)]
 
@@ -103,14 +114,13 @@ def test_solver_random_round_trip():
     for _ in range(30):
         m = rng.randint(1, 6)
         k = rng.randint(1, 6)
-        dense = random_int_matrix(rng, m, k)
-        mat = ExactMatrix.from_dense(dense)
-        solver = LinearSolver(mat)
+        rows = random_int_matrix(rng, m, k)
+        solver = LinearSolver(copy(rows), k)
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
-        b = mat.mul_vector(coeffs)
+        b = mul_vector(rows, coeffs)
         x = solver.solve(b)
         assert x is not None
-        assert mat.mul_vector(x) == b
+        assert mul_vector(rows, x) == b
 
 
 def test_primitive_integer_vector():
