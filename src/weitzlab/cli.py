@@ -131,7 +131,10 @@ def decompose_cmd(d, output_format, split, source):
         poly = parse_poly(text, d)
     except PolyParseError as exc:
         raise click.UsageError(f"cannot parse polynomial: {exc}")
-    parts = poly.multidegree_components() if split else {poly.multidegree(): poly}
+    if split and not poly.is_zero:
+        parts = poly.multidegree_components()
+    else:
+        parts = {poly.multidegree(): poly}
     if not split and poly.multidegree() is None and not poly.is_zero:
         click.echo(
             "error: input mixes multidegrees; rerun with --split or decompose "
@@ -169,8 +172,6 @@ def decompose_cmd(d, output_format, split, source):
         ]
         click.echo(json.dumps(payload, indent=2))
     else:
-        if not certificates:
-            click.echo("  0")
         for n, cert in certificates.items():
             if len(certificates) > 1:
                 click.echo(f"component n={','.join(map(str, n))}:")

@@ -1,9 +1,11 @@
 """Two-row tableau combinatorics: the oracle side that owns no linear algebra.
 
-Everything here is exhaustive enumeration over tiny search spaces, which
-is exactly what an independent oracle should be.  The only closed form
-(the two-row standard tableau count) is cross-validated against the
-enumeration by the test suite before anything relies on it.
+Standard tableaux are enumerated exhaustively.  Kostka numbers are counted
+by a recurrence that places one letter at a time, in time polynomial in the
+content, and use no linear algebra either, which is what an independent
+oracle needs.  The test suite checks the recurrence against brute-force
+enumeration and the sl2 identity, and the two-row standard tableau count's
+closed form against the enumeration.
 """
 
 from __future__ import annotations
@@ -104,34 +106,31 @@ def kostka(shape: Partition, content: tuple[int, ...]) -> int:
     """Number of semistandard fillings of shape with the given content.
 
     Entries come from 1..len(content) with entry i used content[i-1]
-    times; rows weakly increase and columns strictly increase.  Counted by
-    direct enumeration: pick the multiset of the second row, sort both
-    rows, check the column condition.
+    times; rows weakly increase and columns strictly increase.  Counted
+    letter by letter: letters 1..i fill the first a cells of row 1 and the
+    first b of row 2, and a = (letters placed) - b, so partial fillings are
+    counted by b alone.  Letter i+1 puts t copies in row 2 and the rest in
+    row 1.  Each new row-2 cell needs a smaller letter above it, so
+    b + t <= a; the rows cap b + t <= l2 and a + content[i] - t <= l1.
+    O(len(content) * l2 * max(content)) steps, no enumeration.
     """
     l1, l2 = _check_partition(shape)
     if l1 + l2 != sum(content):
         raise ValueError("shape size must equal the content total")
     if any(k < 0 for k in content):
         raise ValueError("content entries must be nonnegative")
-    letters = []
-    for i, k in enumerate(content, start=1):
-        letters.extend([i] * k)
-    count = 0
-    seen = set()
-    for picks in combinations(range(len(letters)), l2):
-        row2 = tuple(letters[p] for p in picks)
-        if row2 in seen:
-            continue
-        seen.add(row2)
-        remaining = list(letters)
-        for p in reversed(picks):
-            del remaining[p]
-        row1 = tuple(remaining)
-        # letters is sorted, so both rows weakly increase; only the strict
-        # column condition can fail
-        if all(row1[c] < row2[c] for c in range(l2)):
-            count += 1
-    return count
+    ways = [1] + [0] * l2  # ways[b]: fillings so far with b cells in row 2
+    placed = 0
+    for k in content:
+        step = [0] * (l2 + 1)
+        for b, w in enumerate(ways):
+            a = placed - b
+            if w:
+                for t in range(max(0, a + k - l1), min(k, a - b, l2 - b) + 1):
+                    step[b + t] += w
+        ways = step
+        placed += k
+    return ways[l2]
 
 
 def dimension_identity_check(content: tuple[int, ...]) -> bool:

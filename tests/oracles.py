@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and shares no code path with the
 package: plain rational Gauss-Jordan instead of fraction-free Bareiss,
-generate-and-filter enumerations instead of recursive construction.
+generate-and-filter enumerations instead of recursive construction, and
+the sl2 character identity instead of counting tableaux.
 Expected values asserted in the tests are computed with these.
 """
 
@@ -107,6 +108,51 @@ def kostka_oracle(shape: tuple[int, int], content: tuple[int, ...]) -> int:
             if tuple(used) == tuple(content):
                 count += 1
     return count
+
+
+def kostka_enumeration_oracle(shape: tuple[int, int], content: tuple[int, ...]) -> int:
+    """Count semistandard fillings over all C(|n|, l2) position subsets.
+
+    Pick the multiset of the second row, sort both rows, check the column
+    condition.
+    """
+    l1, l2 = shape
+    letters = []
+    for i, k in enumerate(content, start=1):
+        letters.extend([i] * k)
+    count = 0
+    seen = set()
+    for picks in combinations(range(len(letters)), l2):
+        row2 = tuple(letters[p] for p in picks)
+        if row2 in seen:
+            continue
+        seen.add(row2)
+        remaining = list(letters)
+        for p in reversed(picks):
+            del remaining[p]
+        row1 = tuple(remaining)
+        # letters is sorted, so both rows weakly increase; only the strict
+        # column condition can fail
+        if all(row1[c] < row2[c] for c in range(l2)):
+            count += 1
+    return count
+
+
+def sl2_kostka(shape: tuple[int, int], content: tuple[int, ...]) -> int:
+    """K_{(N-k,k),n} = c_k - c_{k-1} with c_k = [t^k] prod_i (1 + ... + t^{n_i}).
+
+    The multiplicity of the sl2 irreducible of highest weight N - 2k in a
+    tensor product of irreducibles of highest weights n_i: no tableaux.
+    """
+    k = shape[1]
+    coeffs = [1]
+    for n_i in content:
+        step = [0] * (len(coeffs) + n_i)
+        for j, c in enumerate(coeffs):
+            for e in range(n_i + 1):
+                step[j + e] += c
+        coeffs = step
+    return coeffs[k] - (coeffs[k - 1] if k else 0)
 
 
 def standard_count_oracle(shape: tuple[int, int]) -> int:

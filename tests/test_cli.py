@@ -192,6 +192,11 @@ def test_decompose_zero(runner):
         result = runner.invoke(main, ["decompose", "--d", "2", *flags], input="0\n")
         assert result.exit_code == 0
         assert result.output == "  0\n"
+        result = runner.invoke(
+            main, ["decompose", "--d", "2", "--format", "json", *flags], input="0\n"
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output) == [{"n": None, "terms": []}]
 
 
 def test_decompose_parse_error(runner):

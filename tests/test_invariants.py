@@ -24,6 +24,7 @@ INVARIANTS = [
     (2, 8, 45, "bc06c2ac48193ebd049b1209e0678915b35a4f4002ccea386a7980092e6f43fa"),
     (3, 6, 84, "9b0f8ef4d6778d17cd8cd74e16f366ccf73200c8738aa38059161246ebb8dced"),
     (4, 6, 210, "179541056d156e87bdb061ac693a9b7f0402d3af6f1dc445d1de4d482292dc68"),
+    (2, 30, 496, "df6f9853b6ff14397ac6f6dba4d902b72c621c42b2ea7140e953fa29b90d1971"),
 ]
 
 CROSSCHECK = [

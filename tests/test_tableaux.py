@@ -1,6 +1,6 @@
 """Tableau combinatorics against brute-force oracles and known values."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -13,7 +13,15 @@ from weitzlab.tableaux import (
     two_row_partitions,
 )
 
-from oracles import kostka_oracle, standard_count_oracle
+from oracles import (
+    kostka_enumeration_oracle,
+    kostka_oracle,
+    sl2_kostka,
+    standard_count_oracle,
+)
+
+# every content with d <= 4 letters, each used at most 4 times
+SMALL_CONTENTS = [n for d in range(1, 5) for n in product(range(5), repeat=d)]
 
 
 def test_two_row_partitions():
@@ -82,9 +90,36 @@ def test_kostka_matches_brute_force():
             assert kostka(shape, content) == kostka_oracle(shape, content)
 
 
+def test_kostka_matches_enumeration():
+    for content in SMALL_CONTENTS:
+        for shape in two_row_partitions(sum(content)):
+            assert kostka(shape, content) == kostka_enumeration_oracle(shape, content)
+
+
+def test_kostka_matches_sl2_identity():
+    for content in SMALL_CONTENTS + [(10, 10), (15, 15)]:
+        for shape in two_row_partitions(sum(content)):
+            assert kostka(shape, content) == sl2_kostka(shape, content)
+
+
 def test_kostka_rejects_size_mismatch():
     with pytest.raises(ValueError):
         kostka((2, 1), (1, 1))
+
+
+def test_kostka_rejects_negative_content():
+    with pytest.raises(ValueError, match="nonnegative"):
+        kostka((1, 0), (2, -1))
+
+
+def test_kostka_rejects_non_partition():
+    with pytest.raises(ValueError, match="not a partition"):
+        kostka((1, 2), (1, 1, 1))
+
+
+def test_kostka_rejects_three_rows():
+    with pytest.raises(ValueError, match="two-row"):
+        kostka((1, 1, 1), (1, 1, 1))
 
 
 def test_kostka_symmetry_under_content_permutation():
