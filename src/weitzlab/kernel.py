@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
 from .linalg import integer_nullspace
 from .poly import Polynomial, component_basis, component_strides
 

@@ -12,8 +12,8 @@ than by counting.
 verify_component is the whole point: for one multidegree it computes the
 kernel dimension, the product-span dimension, and the independent tableau
 count, and reports whether all three agree.  It runs on integers indexed
-by component position (poly.component_strides): every product is
-expanded straight into an integer column, with no Polynomial in between.
+by component position (poly.component_strides): products expand into
+integer columns, which only _product_blocks assembles into matrices.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb
+from typing import Iterator
 
 from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
 from .kernel import delta_table, integer_delta, kernel_blocks
-from .kernel import kernel_basis  # noqa: F401  (perfbench/tracer.py rebinds it here)
 from .linalg import LinearSolver, integer_rank
 from .poly import Polynomial, component_basis, component_strides, format_poly
 from .tableaux import kostka, two_row_partitions
@@ -203,43 +203,34 @@ class ConjectureViolation(Exception):
     """A kernel element outside the product span; must never be swallowed."""
 
 
-@lru_cache(maxsize=None)
-def _component_solver(d: int, n: tuple[int, ...]) -> LinearSolver:
-    """Solver for the expansion matrix of one component, built once.
+def _product_blocks(d: int, n: tuple[int, ...]) -> Iterator[tuple]:
+    """The expansion matrix of a component, split by y-weight.
 
-    Columns are the expanded products in enumeration order, rows the
-    component basis monomials; its solve() decomposes kernel elements.
+    x^p * prod u_ij^q_ij has y-weight sum(q) in every term, so the matrix
+    is block diagonal.  A block is (indices, positions, rows): its products
+    in enumeration order, the positions they touch (ascending) and one
+    fresh dense integer row per position.
     """
     columns = _product_columns(d, n)
-    rows = [[0] * len(columns) for _ in range(prod(k + 1 for k in n))]
-    for k, column in enumerate(columns):
-        for pos, c in column.items():
-            rows[pos][k] = c
-    return LinearSolver(rows, len(columns))
+    grouped: dict[int, list[int]] = {}
+    for k, t in enumerate(enumerate_products(d, n)):
+        grouped.setdefault(sum(t.q), []).append(k)
+    for indices in grouped.values():
+        positions = sorted({pos for k in indices for pos in columns[k]})
+        rows = [[columns[k].get(pos, 0) for k in indices] for pos in positions]
+        yield indices, positions, rows
+
+
+@lru_cache(maxsize=None)
+def _component_solver(d: int, n: tuple[int, ...]) -> tuple:
+    """(indices, positions, LinearSolver) for every product block, built once."""
+    blocks = _product_blocks(d, n)
+    return tuple((ks, at, LinearSolver(rows, len(ks))) for ks, at, rows in blocks)
 
 
 def span_dimension(d: int, n: tuple[int, ...]) -> int:
-    """Exact rank of the products of multidegree n inside their component.
-
-    x^p * prod u_ij^q_ij has y-weight sum(q) throughout, so the expansion
-    matrix is block diagonal by y-weight and its rank is summed per block,
-    each block restricted to the positions its products touch.
-    """
-    blocks: dict[int, list[dict[int, int]]] = {}
-    for t, column in zip(enumerate_products(d, n), _product_columns(d, n)):
-        blocks.setdefault(sum(t.q), []).append(column)
-    rank = 0
-    for columns in blocks.values():
-        positions = sorted({pos for column in columns for pos in column})
-        index = {pos: i for i, pos in enumerate(positions)}
-        rows = []
-        for column in columns:
-            row = [0] * len(positions)
-            for pos, c in column.items():
-                row[index[pos]] = c
-            rows.append(row)
-        rank += integer_rank(rows, len(positions))
-    return rank
+    """Exact rank of the products of multidegree n inside their component."""
+    return sum(integer_rank(rows, len(ks)) for ks, _, rows in _product_blocks(d, n))
 
 
 def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
@@ -255,39 +246,49 @@ def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
     )
 
 
+def _certificate(f: Polynomial, n: tuple[int, ...]) -> dict | None:
+    """f as a combination of the products of multidegree n, or None."""
+    strides = component_strides(f.d, n)
+    values = {sum(b * s for b, s in zip(m.b, strides)): c for m, c in f.terms()}
+    solution = {}
+    for indices, positions, solver in _component_solver(f.d, n):
+        x = solver.solve([values.pop(pos, 0) for pos in positions])
+        if x is None:
+            return None
+        solution.update(zip(indices, x))
+    if values:  # f has a monomial that no product touches
+        return None
+    products = enumerate_products(f.d, n)
+    return {products[k]: c for k, c in sorted(solution.items()) if c}
+
+
 def decompose(f: Polynomial) -> dict[ProductTerm, Fraction]:
     """Write a homogeneous constant as a combination of products.
 
     Among the affine solution set the certificate supported on the
     earliest products in enumeration order is returned (free coordinates
-    of the echelon parametrization are pinned to zero).  Re-expanding the
-    certificate reproduces f exactly; a constant with no certificate
-    would contradict the spanning theorem and raises ConjectureViolation.
+    of the echelon parametrization are pinned to zero, block by block).
+    It re-expands to f exactly, proving f a constant, so delta(f) runs
+    only without one, to pick the error: NotInKernel, else NotHomogeneous,
+    else ConjectureViolation (which contradicts the spanning theorem).
     """
     if f.is_zero:
         return {}
+    n = f.multidegree()
+    certificate = None if n is None else _certificate(f, n)
+    if certificate is not None:
+        return certificate
     image = delta(f)
     if not image.is_zero:
         raise NotInKernel(image)
-    n = f.multidegree()
     if n is None:
         raise NotHomogeneous(
             "input mixes multidegrees; decompose each component separately"
         )
-    d = f.d
-    solver = _component_solver(d, n)
-    strides = component_strides(d, n)
-    rhs = [Fraction(0)] * prod(k + 1 for k in n)
-    for m, c in f.terms():
-        rhs[sum(b * s for b, s in zip(m.b, strides))] = c
-    solution = solver.solve(rhs)
-    if solution is None:
-        raise ConjectureViolation(
-            f"kernel element of multidegree {n} lies outside the product span: "
-            f"{format_poly(f)}"
-        )
-    products = enumerate_products(d, n)
-    return {products[k]: c for k, c in enumerate(solution) if c}
+    raise ConjectureViolation(
+        f"kernel element of multidegree {n} lies outside the product span: "
+        f"{format_poly(f)}"
+    )
 
 
 @dataclass(frozen=True)

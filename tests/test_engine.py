@@ -2,10 +2,10 @@
 
 Every component with d <= 4 and |n| <= 5 is checked three ways: product
 columns against repeated Polynomial multiplication, the integer delta
-against derivation.delta, and the block-split span rank against the
-decomposition solver's rank.  The fault-injection tests corrupt one
-column or one kernel vector and require the constancy side checks to
-fire with their usual messages.
+against derivation.delta, and the span rank against the summed ranks of
+the decomposition solver's blocks and the unsplit rational rank.  The
+fault-injection tests corrupt one column or one kernel vector and
+require the constancy side checks to fire with their usual messages.
 """
 
 import pytest
@@ -25,7 +25,7 @@ from weitzlab.products import (
 )
 from weitzlab.report import enumerate_multidegrees
 
-from oracles import expand_oracle
+from oracles import expand_oracle, span_dim_of_polys
 
 COMPONENTS = [(d, n) for d in range(1, 5) for n in enumerate_multidegrees(d, 5)]
 
@@ -57,7 +57,10 @@ def test_integer_delta_matches_derivation():
 
 def test_span_rank_matches_solver_rank():
     for d, n in COMPONENTS:
-        assert span_dimension(d, n) == _component_solver(d, n).rank
+        solver_rank = sum(solver.rank for _, _, solver in _component_solver(d, n))
+        polys = [expand_oracle(t) for t in enumerate_products(d, n)]
+        unsplit = span_dim_of_polys(polys, component_basis(d, n))
+        assert span_dimension(d, n) == solver_rank == unsplit, n
 
 
 def test_corrupted_product_column_fails_verification(monkeypatch):

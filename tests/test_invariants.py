@@ -8,17 +8,29 @@ replaced the Polynomial route, and golden/decompose.txt holds
 `weitz decompose --format json` certificates recorded before the solver's
 back substitution moved to integers.  Each golden block is the command
 line, with its standard input as a here-string after `<<<`, followed by
-its output.
+its output.  The certificate digest was recorded before decompose moved
+to per-y-weight blocks; it pins which certificate is chosen, not only
+that it re-expands.
 """
 
+import hashlib
+import random
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from weitzlab.cli import main
-from weitzlab.report import SweepConfig, run_crosscheck, run_verify_sweep
+from weitzlab.poly import Polynomial
+from weitzlab.products import decompose, enumerate_products, expand
+from weitzlab.report import (
+    SweepConfig,
+    enumerate_multidegrees,
+    run_crosscheck,
+    run_verify_sweep,
+)
 
 INVARIANTS = [
     (2, 8, 45, "bc06c2ac48193ebd049b1209e0678915b35a4f4002ccea386a7980092e6f43fa"),
@@ -32,6 +44,8 @@ CROSSCHECK = [
     (3, 4, 35, "c6b76c851ea716e1de138963ea536f314be6a4f4d0ccde1559d8c4af0b2e74d6"),
     (4, 4, 70, "1802571bf1e3100e64e783434d995a9c0f18df788980b0f04f6eebfb16a0874b"),
 ]
+
+CERTIFICATE_DIGEST = "a3a9895216f78ac27724ef570cf7a445159ec341c1ff44555b8db715ae032ac7"
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,3 +101,20 @@ def test_crosscheck_digests(d, limit, contents, digest):
     assert report["aggregate"]["components_checked"] == contents
     assert report["aggregate"]["violations"] == 0
     assert report["content_digest"] == digest
+
+
+def test_decompose_certificate_digest():
+    """One seeded rational combination of products per component, d <= 4, |n| <= 6."""
+    rng = random.Random(2019)
+    digest = hashlib.sha256()
+    for d in range(1, 5):
+        for n in enumerate_multidegrees(d, 6):
+            terms = enumerate_products(d, n)
+            f = Polynomial.zero(d)
+            while f.is_zero:  # a Pluecker combination can cancel to zero
+                for t in rng.sample(terms, rng.randint(1, min(4, len(terms)))):
+                    f = f + expand(t) * Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            certificate = decompose(f)
+            key = (n, sorted((t.p, t.q, str(c)) for t, c in certificate.items()))
+            digest.update(repr(key).encode())
+    assert digest.hexdigest() == CERTIFICATE_DIGEST

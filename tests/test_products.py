@@ -6,10 +6,12 @@ from itertools import combinations
 
 import pytest
 
+from weitzlab import products
 from weitzlab.derivation import delta, is_constant
 from weitzlab.kernel import kernel_basis
-from weitzlab.poly import Polynomial, component_basis
+from weitzlab.poly import Polynomial, component_basis, parse_poly
 from weitzlab.products import (
+    ConjectureViolation,
     NotHomogeneous,
     NotInKernel,
     ProductTerm,
@@ -159,6 +161,41 @@ def test_decompose_rejections():
         decompose(mixed)
 
     assert decompose(Polynomial.zero(2)) == {}
+
+    # mixed and non-constant at once: not being a constant is named first
+    with pytest.raises(NotInKernel) as err:
+        decompose(parse_poly("y1 + x1^2", 1))
+    assert err.value.image == Polynomial.x(1, 1)
+
+
+def test_decompose_untouched_coefficient_is_a_violation(monkeypatch):
+    # with u12 expanding to nothing, no product touches x1*y2 or x2*y1
+    real = products._product_column
+    u12 = ProductTerm(p=(0, 0), q=(1,))
+    monkeypatch.setattr(
+        products, "_product_column", lambda t, strides: {} if t == u12 else real(t, strides)
+    )
+    products._component_solver.cache_clear()
+    try:
+        with pytest.raises(ConjectureViolation):
+            decompose(make_u(2, 1, 2))
+    finally:
+        products._component_solver.cache_clear()
+
+
+def test_decompose_success_never_computes_delta(monkeypatch):
+    def refuse(f):
+        raise AssertionError("delta called on the success path")
+
+    monkeypatch.setattr(products, "delta", refuse)
+    d = 4
+    f = make_u(d, 1, 2) * make_u(d, 3, 4) - make_u(d, 1, 3) * make_u(d, 2, 4)
+    f = f + Polynomial.x(1, d) * Polynomial.x(2, d) * make_u(d, 3, 4)
+    cert = decompose(f)
+    rebuilt = Polynomial.zero(d)
+    for t, c in cert.items():
+        rebuilt = rebuilt + expand(t) * c
+    assert rebuilt == f
 
 
 def test_decompose_certificate_prefers_early_products():
