@@ -17,6 +17,7 @@ from .kernel import kernel_basis
 from .poly import PolyParseError, format_poly, parse_poly
 from .products import (
     ConjectureViolation,
+    NotHomogeneous,
     NotInKernel,
     decompose,
     pair_order,
@@ -135,18 +136,18 @@ def decompose_cmd(d, output_format, split, source):
         parts = poly.multidegree_components()
     else:
         parts = {poly.multidegree(): poly}
-    if not split and poly.multidegree() is None and not poly.is_zero:
+    try:
+        certificates = {n: decompose(part) for n, part in parts.items()}
+    except NotInKernel as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_VIOLATION)
+    except NotHomogeneous:
         click.echo(
             "error: input mixes multidegrees; rerun with --split or decompose "
             "each component separately",
             err=True,
         )
         sys.exit(EXIT_USAGE)
-    try:
-        certificates = {n: decompose(part) for n, part in parts.items()}
-    except NotInKernel as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VIOLATION)
     except ConjectureViolation as exc:
         click.echo(f"CONJECTURE VIOLATION: {exc}", err=True)
         sys.exit(EXIT_VIOLATION)

@@ -79,7 +79,7 @@ def delta_matrix(d: int, n: tuple[int, ...]) -> list[list[int]]:
 
 
 def kernel_blocks(
-    d: int, n: tuple[int, ...]
+    d: int, n: tuple[int, ...], table: tuple | None = None
 ) -> list[tuple[int, list[int], list[list[int]]]]:
     """Integer kernel of delta on component n, one bi-weight block at a time.
 
@@ -87,9 +87,10 @@ def kernel_blocks(
     a nonzero kernel, q ascending.  positions are the block's basis
     positions in component order; each vector holds coprime integer
     coefficients over them with the first nonzero positive, in
-    nullspace order.  Every vector is checked to be a constant.
+    nullspace order.  Every vector is checked to be a constant.  table
+    is delta_table(d, n) when the caller has built it already.
     """
-    weights, images = delta_table(d, n)
+    weights, images = table or delta_table(d, n)
     blocks: dict[int, list[int]] = {}
     local = [0] * len(weights)
     for pos, q in enumerate(weights):

@@ -4,9 +4,10 @@ A matrix is a list of rows of Python ints.  Rank, nullspace and repeated
 linear solves all reduce to one fraction-free integer row reduction and
 share one integer back substitution; rational input (a right-hand side
 to LinearSolver.solve) is scaled to integers first, and Fractions are
-built only for a returned solution.  Pivoting always takes the first
-nonzero row in canonical column order, so results are bit-for-bit
-deterministic.
+built only for a returned solution.  LinearSolver keeps its transform
+as columns, so a solve touches only the columns of the nonzero entries
+of its right-hand side.  Pivoting always takes the first nonzero row in
+canonical column order, so results are bit-for-bit deterministic.
 
 The row reduction itself is weitzlab._rowred_py.echelonize, always called
 through the module attribute _core so that a profiler can rebind it.
@@ -22,6 +23,8 @@ from typing import Iterable, Sequence
 from . import _rowred_py as _core
 
 BACKEND = "python"
+
+_ZERO = Fraction(0)
 
 __all__ = [
     "BACKEND",
@@ -93,25 +96,28 @@ class LinearSolver:
     """Reusable exact solver for A x = b with a fixed integer A and many b.
 
     One fraction-free reduction of [A | I] is done up front, which leaves
-    U = T A in echelon form together with the transform T.  A solve
-    scales b to integers, forms w = T b, and takes x from the nullspace
-    of [U | -w] at the right-hand-side column, through the same back
-    substitution as integer_nullspace.  Among all solutions the returned
-    one sets every free variable to zero, so its support sits on the
-    earliest independent columns of A (echelon pivot preference).
-    solve() returns None when the system is inconsistent.  rows are
-    reduced in place.
+    U = T A in echelon form together with the transform T; T is kept
+    only as its columns, one per coordinate of b.  A solve scales b to
+    integers, forms w = T b as the sum of b_j times column j over the
+    nonzero b_j, and takes x from the nullspace of [U | -w] at the
+    right-hand-side column, through the same back substitution as
+    integer_nullspace.  Among all solutions the returned one sets every
+    free variable to zero, so its support sits on the earliest
+    independent columns of A (echelon pivot preference).  solve()
+    returns None when the system is inconsistent.  rows are reduced in
+    place.
     """
 
-    __slots__ = ("_rows", "_transform", "_pivots", "_ncols")
+    __slots__ = ("_rows", "_columns", "_pivots", "_ncols")
 
     def __init__(self, rows: list[list[int]], cols: int):
         m = len(rows)
         for r, row in enumerate(rows):
-            row.extend(1 if i == r else 0 for i in range(m))
+            row.extend([0] * m)
+            row[cols + r] = 1
         self._pivots = _core.echelonize(rows, cols)
         self._rows = [row[:cols] for row in rows[: len(self._pivots)]]
-        self._transform = [row[cols:] for row in rows]
+        self._columns = list(map(list, zip(*rows)))[cols:]
         self._ncols = cols
 
     @property
@@ -119,16 +125,15 @@ class LinearSolver:
         return len(self._pivots)
 
     def solve(self, b: Sequence[Fraction | int]) -> list[Fraction] | None:
-        if len(b) != len(self._transform):
+        columns = self._columns
+        if len(b) != len(columns):
             raise ValueError("right-hand side length mismatch")
-        den = 1
-        for e in b:
-            if e:
-                den = lcm(den, e.denominator)
-        scaled = [
-            (j, e.numerator * (den // e.denominator)) for j, e in enumerate(b) if e
-        ]
-        w = [sum(t[j] * c for j, c in scaled) for t in self._transform]
+        nonzero = [(j, e) for j, e in enumerate(b) if e]
+        den = lcm(*[e.denominator for _, e in nonzero])
+        w = [0] * len(columns)
+        for j, e in nonzero:
+            c = e.numerator * (den // e.denominator)
+            w = [wr + c * t for wr, t in zip(w, columns[j])]
         rank = len(self._pivots)
         if any(w[rank:]):
             return None
@@ -136,8 +141,7 @@ class LinearSolver:
         rows = [row + [-wr] for row, wr in zip(self._rows, w)]
         v = _back_substitute(rows, self._pivots, n + 1, n)
         scale = v[n] * den
-        zero = Fraction(0)
-        return [Fraction(e, scale) if e else zero for e in v[:n]]
+        return [Fraction(e, scale) if e else _ZERO for e in v[:n]]
 
 
 def primitive_integer_vector(v: Iterable[Fraction | int]) -> list[int]:

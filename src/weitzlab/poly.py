@@ -1,8 +1,11 @@
 """Sparse exact polynomials in the paired variables x1..xd, y1..yd.
 
-Coefficients are `fractions.Fraction` throughout; nothing in this package
-ever touches floating point.  A monomial keeps one exponent tuple per
-variable block, so x1*y2^3 in K[X_2, Y_2] is Monomial((1, 0), (0, 3)).
+A Polynomial's coefficients are `fractions.Fraction`s; nothing in this
+package ever touches floating point.  A monomial keeps one exponent tuple
+per variable block, so x1*y2^3 in K[X_2, Y_2] is Monomial((1, 0), (0, 3)).
+parse_poly reads the text format without a Fraction per term: it sums
+integer coefficients per exponent tuple, parses each distinct factor
+text once per process, and leaves the conversion to Polynomial.
 
 Two gradings drive the whole engine:
 
@@ -27,6 +30,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -85,7 +89,7 @@ class Monomial:
         return self.degree == 0
 
     def multidegree(self) -> tuple[int, ...]:
-        return tuple(ai + bi for ai, bi in zip(self.a, self.b))
+        return tuple(map(add, self.a, self.b))
 
     def biweight(self) -> tuple[int, int]:
         return (sum(self.a), sum(self.b))
@@ -379,6 +383,11 @@ def component_strides(d: int, n: tuple[int, ...]) -> tuple[int, ...]:
 
 _FACTOR_RE = re.compile(r"^([xy])(\d+)(?:\^(\d+))?$")
 _COEF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_CHUNK_RE = re.compile(r"[+-]|[^+\-\s]+")
+
+# Factor text -> (0 for x or 1 for y, index, exponent), filled by
+# _parse_factor with well-formed factors only; the index depends on no d.
+_FACTORS: dict[str, tuple[int, int, int]] = {}
 
 
 class PolyParseError(ValueError):
@@ -386,15 +395,22 @@ class PolyParseError(ValueError):
 
 
 def parse_poly(text: str, d: int) -> Polynomial:
-    """Parse the textual polynomial format; inverse of format_poly."""
+    """Parse the textual polynomial format; inverse of format_poly.
+
+    Coefficients accumulate as ints per exponent tuple; a Fraction is built
+    only for a coefficient written with '/', and Polynomial turns the sums
+    into Fractions once per distinct monomial.  Each factor text such as
+    'x3^5' is parsed once per process (the _FACTORS memo, bounded by the
+    number of distinct factor texts), and its index is checked against d
+    on every use because d varies between calls.
+    """
     s = text.strip()
     if not s:
         raise PolyParseError("empty input")
-    chunks = re.findall(r"[+-]|[^+\-\s]+", s)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     sign = 1
     expect_term = True
-    for chunk in chunks:
+    for chunk in _CHUNK_RE.findall(s):
         if chunk in "+-":
             if expect_term and chunk == "-":
                 sign = -sign
@@ -406,47 +422,47 @@ def parse_poly(text: str, d: int) -> Polynomial:
             continue
         if not expect_term:
             raise PolyParseError(f"missing operator before {chunk!r}")
-        coef, mono = _parse_term(chunk, d)
-        coef *= sign
+        parts = chunk.split("*")
+        head = parts[0]
+        if head.isdecimal():
+            coef, start = int(head), 1
+        elif "/" in head and (m := _COEF_RE.match(head)):
+            den = int(m.group(2))
+            if den == 0:
+                raise PolyParseError(f"zero denominator in {head!r}")
+            coef, start = Fraction(int(m.group(1)), den), 1
+        else:
+            coef, start = 1, 0
+        ab = [0] * (2 * d)
+        for part in parts[start:]:
+            block, idx, e = _FACTORS.get(part) or _parse_factor(part)
+            if not 1 <= idx <= d:
+                raise PolyParseError(f"index out of range 1..{d} in {part!r}")
+            ab[block * d + idx - 1] += e
         if coef:
-            acc = terms.get(mono, Fraction(0)) + coef
+            key = tuple(ab)
+            acc = terms.get(key, 0) + sign * coef
             if acc:
-                terms[mono] = acc
+                terms[key] = acc
             else:
-                terms.pop(mono, None)
+                terms.pop(key, None)
         sign = 1
         expect_term = False
     if expect_term:
         raise PolyParseError("dangling operator")
-    return Polynomial(d, terms)
+    return Polynomial(d, {Monomial(ab[:d], ab[d:]): c for ab, c in terms.items()})
 
 
-def _parse_term(chunk: str, d: int) -> tuple[Fraction, Monomial]:
-    parts = chunk.split("*")
-    coef = Fraction(1)
-    start = 0
-    m = _COEF_RE.match(parts[0])
-    if m:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
-        if den == 0:
-            raise PolyParseError(f"zero denominator in {parts[0]!r}")
-        coef = Fraction(num, den)
-        start = 1
-    a = [0] * d
-    b = [0] * d
-    for part in parts[start:]:
-        fm = _FACTOR_RE.match(part)
-        if not fm:
-            raise PolyParseError(f"bad factor {part!r}")
-        kind, idx, exp = fm.group(1), int(fm.group(2)), fm.group(3)
-        e = int(exp) if exp else 1
-        if e < 1:
-            raise PolyParseError(f"bad exponent in {part!r}")
-        if not 1 <= idx <= d:
-            raise PolyParseError(f"index out of range 1..{d} in {part!r}")
-        (a if kind == "x" else b)[idx - 1] += e
-    return coef, Monomial(a, b)
+def _parse_factor(part: str) -> tuple[int, int, int]:
+    fm = _FACTOR_RE.match(part)
+    if not fm:
+        raise PolyParseError(f"bad factor {part!r}")
+    kind, idx, exp = fm.group(1), int(fm.group(2)), fm.group(3)
+    e = int(exp) if exp else 1
+    if e < 1:
+        raise PolyParseError(f"bad exponent in {part!r}")
+    factor = _FACTORS[part] = (0 if kind == "x" else 1, idx, e)
+    return factor
 
 
 def format_poly(p: Polynomial) -> str:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Iterator
 
 from .derivation import delta
@@ -165,10 +166,15 @@ def _product_column(t: ProductTerm, strides: tuple[int, ...]) -> dict[int, int]:
     return {pos: c for pos, c in column.items() if c}
 
 
-def _product_columns(d: int, n: tuple[int, ...]) -> list[dict[int, int]]:
-    """Every product of multidegree n as a column, each checked to be a constant."""
+def _product_columns(
+    d: int, n: tuple[int, ...], table: tuple | None = None
+) -> list[dict[int, int]]:
+    """Every product of multidegree n as a column, each checked to be a constant.
+
+    table is delta_table(d, n) when the caller has built it already.
+    """
     strides = component_strides(d, n)
-    _, images = delta_table(d, n)
+    _, images = table or delta_table(d, n)
     columns = []
     for t in enumerate_products(d, n):
         column = _product_column(t, strides)
@@ -203,7 +209,9 @@ class ConjectureViolation(Exception):
     """A kernel element outside the product span; must never be swallowed."""
 
 
-def _product_blocks(d: int, n: tuple[int, ...]) -> Iterator[tuple]:
+def _product_blocks(
+    d: int, n: tuple[int, ...], table: tuple | None = None
+) -> Iterator[tuple]:
     """The expansion matrix of a component, split by y-weight.
 
     x^p * prod u_ij^q_ij has y-weight sum(q) in every term, so the matrix
@@ -211,7 +219,7 @@ def _product_blocks(d: int, n: tuple[int, ...]) -> Iterator[tuple]:
     in enumeration order, the positions they touch (ascending) and one
     fresh dense integer row per position.
     """
-    columns = _product_columns(d, n)
+    columns = _product_columns(d, n, table)
     grouped: dict[int, list[int]] = {}
     for k, t in enumerate(enumerate_products(d, n)):
         grouped.setdefault(sum(t.q), []).append(k)
@@ -228,9 +236,13 @@ def _component_solver(d: int, n: tuple[int, ...]) -> tuple:
     return tuple((ks, at, LinearSolver(rows, len(ks))) for ks, at, rows in blocks)
 
 
-def span_dimension(d: int, n: tuple[int, ...]) -> int:
-    """Exact rank of the products of multidegree n inside their component."""
-    return sum(integer_rank(rows, len(ks)) for ks, _, rows in _product_blocks(d, n))
+def span_dimension(d: int, n: tuple[int, ...], table: tuple | None = None) -> int:
+    """Exact rank of the products of multidegree n inside their component.
+
+    table is delta_table(d, n) when the caller has built it already.
+    """
+    blocks = _product_blocks(d, n, table)
+    return sum(integer_rank(rows, len(ks)) for ks, _, rows in blocks)
 
 
 def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
@@ -249,7 +261,7 @@ def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
 def _certificate(f: Polynomial, n: tuple[int, ...]) -> dict | None:
     """f as a combination of the products of multidegree n, or None."""
     strides = component_strides(f.d, n)
-    values = {sum(b * s for b, s in zip(m.b, strides)): c for m, c in f.terms()}
+    values = {sum(map(mul, m.b, strides)): c for m, c in f.terms()}
     solution = {}
     for indices, positions, solver in _component_solver(f.d, n):
         x = solver.solve([values.pop(pos, 0) for pos in positions])
@@ -325,9 +337,10 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     """
     start = time.perf_counter()
     n = tuple(n)
-    dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, n))
+    table = delta_table(d, n)
+    dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, n, table))
     products = enumerate_products(d, n)
-    dim_span = span_dimension(d, n)
+    dim_span = span_dimension(d, n, table)
     oracle = sum(kostka(shape, n) for shape in two_row_partitions(sum(n)))
     verdict = dim_kernel == dim_span == oracle
     return ComponentReport(

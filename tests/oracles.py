@@ -10,10 +10,11 @@ Expected values asserted in the tests are computed with these.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
-from weitzlab.poly import Monomial, Polynomial
+from weitzlab.poly import Monomial, PolyParseError, Polynomial
 
 
 # ------------------------------------------------------------ linear algebra
@@ -203,6 +204,80 @@ def expand_oracle(t) -> Polynomial:
             x_j, y_j = Polynomial.x(j, d), Polynomial.y(j, d)
             poly = poly * (x_i * y_j - x_j * y_i) ** e
     return poly
+
+
+# ------------------------------------------------------------ text format
+
+_FACTOR_RE = re.compile(r"^([xy])(\d+)(?:\^(\d+))?$")
+_COEF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+
+
+def parse_poly_oracle(text: str, d: int) -> Polynomial:
+    """The textual format parsed term by term into Fraction coefficients.
+
+    Same grammar and PolyParseError messages as weitzlab.poly.parse_poly,
+    but every term becomes a Fraction and a Monomial on its own.
+    """
+    s = text.strip()
+    if not s:
+        raise PolyParseError("empty input")
+    chunks = re.findall(r"[+-]|[^+\-\s]+", s)
+    terms: dict[Monomial, Fraction] = {}
+    sign = 1
+    expect_term = True
+    for chunk in chunks:
+        if chunk in "+-":
+            if expect_term and chunk == "-":
+                sign = -sign
+                continue
+            if expect_term:
+                raise PolyParseError(f"unexpected {chunk!r}")
+            sign = -1 if chunk == "-" else 1
+            expect_term = True
+            continue
+        if not expect_term:
+            raise PolyParseError(f"missing operator before {chunk!r}")
+        coef, mono = _parse_term_oracle(chunk, d)
+        coef *= sign
+        if coef:
+            acc = terms.get(mono, Fraction(0)) + coef
+            if acc:
+                terms[mono] = acc
+            else:
+                terms.pop(mono, None)
+        sign = 1
+        expect_term = False
+    if expect_term:
+        raise PolyParseError("dangling operator")
+    return Polynomial(d, terms)
+
+
+def _parse_term_oracle(chunk: str, d: int) -> tuple[Fraction, Monomial]:
+    parts = chunk.split("*")
+    coef = Fraction(1)
+    start = 0
+    m = _COEF_RE.match(parts[0])
+    if m:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+        if den == 0:
+            raise PolyParseError(f"zero denominator in {parts[0]!r}")
+        coef = Fraction(num, den)
+        start = 1
+    a = [0] * d
+    b = [0] * d
+    for part in parts[start:]:
+        fm = _FACTOR_RE.match(part)
+        if not fm:
+            raise PolyParseError(f"bad factor {part!r}")
+        kind, idx, exp = fm.group(1), int(fm.group(2)), fm.group(3)
+        e = int(exp) if exp else 1
+        if e < 1:
+            raise PolyParseError(f"bad exponent in {part!r}")
+        if not 1 <= idx <= d:
+            raise PolyParseError(f"index out of range 1..{d} in {part!r}")
+        (a if kind == "x" else b)[idx - 1] += e
+    return coef, Monomial(a, b)
 
 
 # ------------------------------------------------------------ random inputs

@@ -186,6 +186,18 @@ def test_decompose_inhomogeneous(runner):
     assert "x1: 1" in result.output
     assert "x1^2: 1" in result.output
 
+    result = runner.invoke(main, ["decompose", "--d", "2"], input="x1*y2 - x2*y1 + x1\n")
+    assert result.exit_code == 2
+    assert "input mixes multidegrees" in result.output
+
+
+@pytest.mark.parametrize("flags", [[], ["--split"]])
+def test_decompose_nonconstant_before_mixed_multidegrees(runner, flags):
+    result = runner.invoke(main, ["decompose", "--d", "1", *flags], input="y1 + x1^2\n")
+    assert result.exit_code == 1
+    assert "not in the kernel: delta(f) = x1" in result.output
+    assert "mixes" not in result.output
+
 
 def test_decompose_zero(runner):
     for flags in ([], ["--split"]):

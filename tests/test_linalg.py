@@ -16,7 +16,7 @@ from weitzlab.linalg import (
     primitive_integer_vector,
 )
 
-from oracles import nullspace_oracle, rank_oracle, same_span
+from oracles import nullspace_oracle, rank_oracle, rref, same_span
 
 
 def random_int_matrix(rng, m, k, density=0.7, span=9):
@@ -121,6 +121,36 @@ def test_solver_random_round_trip():
         x = solver.solve(b)
         assert x is not None
         assert mul_vector(rows, x) == b
+
+
+def test_solver_matches_rank_oracle():
+    rng = random.Random(19)
+    outcomes = {"solved": 0, "inconsistent": 0}
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        k = rng.randint(1, 7)
+        rows = random_int_matrix(rng, m, k, density=rng.choice([0.3, 0.7]), span=4)
+        if rng.random() < 0.5:
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(k)]
+            b = mul_vector(rows, coeffs)
+        else:
+            b = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)]
+        b = [int(e) if e.denominator == 1 and rng.random() < 0.5 else e for e in b]
+        x = LinearSolver(copy(rows), k).solve(b)
+        augmented = [row + [e] for row, e in zip(rows, b)]
+        if rank_oracle(augmented) > rank_oracle(rows):
+            assert x is None
+            outcomes["inconsistent"] += 1
+            continue
+        # the oracle's solution with every free variable zero
+        reduced, pivots = rref(augmented)
+        expected = [Fraction(0)] * k
+        for r, pc in enumerate(pivots):
+            expected[pc] = reduced[r][k]
+        assert x == expected
+        assert all(type(e) is Fraction for e in x)
+        outcomes["solved"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_primitive_integer_vector():

@@ -16,7 +16,8 @@ from weitzlab.poly import (
     parse_poly,
 )
 
-from oracles import random_polynomial
+from oracles import parse_poly_oracle, random_polynomial
+from test_invariants import golden_runs
 
 
 def poly_strategy(d=2, max_exp=3):
@@ -150,32 +151,72 @@ def test_format_golden():
     assert format_poly(f) == "3/2*x1^2 - y1"
 
 
+def parse_like_oracle(text, d):
+    """parse_poly(text, d), required to equal the oracle's with Fraction coefficients."""
+    parsed = parse_poly(text, d)
+    assert parsed == parse_poly_oracle(text, d), text
+    assert all(type(c) is Fraction for _, c in parsed.terms()), text
+    return parsed
+
+
 def test_parse_golden():
     d = 2
     u12 = Polynomial.x(1, d) * Polynomial.y(2, d) - Polynomial.x(2, d) * Polynomial.y(1, d)
-    assert parse_poly("x1*y2 - x2*y1", d) == u12
-    assert parse_poly("0", d) == Polynomial.zero(d)
-    assert parse_poly("-5/2", d) == Polynomial.constant(Fraction(-5, 2), d)
-    assert parse_poly("3/2*x1^2 - y1", d) == (
+    assert parse_like_oracle("x1*y2 - x2*y1", d) == u12
+    assert parse_like_oracle("0", d) == Polynomial.zero(d)
+    assert parse_like_oracle("-5/2", d) == Polynomial.constant(Fraction(-5, 2), d)
+    assert parse_like_oracle("3/2*x1^2 - y1", d) == (
         Polynomial.x(1, d) ** 2 * Fraction(3, 2) - Polynomial.y(1, d)
     )
     # repeated factors multiply out
-    assert parse_poly("x1*x1", d) == Polynomial.x(1, d) ** 2
+    assert parse_like_oracle("x1*x1", d) == Polynomial.x(1, d) ** 2
+    # terms that cancel, zero and reduced fractions, signs
+    assert parse_like_oracle("x1 - x1 + 0*y2 + 0/3", d) == Polynomial.zero(d)
+    assert parse_like_oracle("- -2/4*y2^3 + 3 - 1", d) == (
+        Polynomial.y(2, d) ** 3 * Fraction(1, 2) + 2
+    )
+
+
+def test_parse_golden_decompose_inputs():
+    for args, stdin, _ in golden_runs("decompose.txt"):
+        parse_like_oracle(stdin, int(args[args.index("--d") + 1]))
+
+
+def test_parse_decompose_stream(decompose_stream):
+    d, lines = decompose_stream
+    for text in lines:
+        parse_like_oracle(text, d)
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x0", "x3", "x1^0", "x1 + ", "* x1", "z1", "x1**2", "1/0"):
-        with pytest.raises(PolyParseError):
+    bad_inputs = (
+        "", "  ", "x0", "x3", "x1^0", "x1 + ", "* x1", "z1", "x1**2", "1/0",
+        "x1 x2", "+ x1", "x1 + - ", "3/", "x1^", "2*3", "2*x1*", "x1*y3^2",
+        "-1/0*x9", "x1^2^3",
+    )
+    for bad in bad_inputs:
+        with pytest.raises(PolyParseError) as expected:
+            parse_poly_oracle(bad, 2)
+        with pytest.raises(PolyParseError) as raised:
             parse_poly(bad, 2)
+        assert str(raised.value) == str(expected.value), bad
+
+
+def test_parse_checks_indices_for_every_d():
+    # a factor already parsed for a larger d is still range-checked
+    assert parse_poly("x3^2*y4", 4) == parse_poly_oracle("x3^2*y4", 4)
+    for text in ("x3^2*y4", "y1*x3^2"):
+        with pytest.raises(PolyParseError, match=r"^index out of range 1\.\.2 in 'x3\^2'$"):
+            parse_poly(text, 2)
 
 
 @given(poly_strategy())
 def test_parse_format_round_trip(f):
-    assert parse_poly(format_poly(f), f.d) == f
+    assert parse_like_oracle(format_poly(f), f.d) == f
 
 
 def test_round_trip_random_larger():
     rng = random.Random(5)
     for _ in range(50):
         f = random_polynomial(rng, 3, max_terms=8, max_exp=4)
-        assert parse_poly(format_poly(f), 3) == f
+        assert parse_like_oracle(format_poly(f), 3) == f
