@@ -1,9 +1,11 @@
-"""Fraction-free row reduction (Bareiss single-step).
+"""Fraction-free row reduction that touches only the rows a pivot changes.
 
 The one row reducer of the package; weitzlab.linalg calls it for every
-rank, nullspace and solver build.  Rows are dense lists of Python ints and
-are modified in place.
+rank, nullspace and solver build.  Rows are dense lists of Python ints
+and are modified in place.
 """
+
+from math import gcd
 
 
 def echelonize(rows, pivot_limit):
@@ -11,13 +13,15 @@ def echelonize(rows, pivot_limit):
 
     Pivots are searched only in columns 0..pivot_limit-1 (first nonzero
     row at or below the current one), but eliminations update full rows,
-    so callers may carry extra bookkeeping columns on the right.  Every
-    remaining row is updated at every step, which is what keeps the
-    divisions by the previous pivot exact.
+    so callers may carry extra bookkeeping columns on the right.  A row
+    with a 0 in the pivot column is left alone; every other row r_i
+    becomes (piv/g)*r_i - (v_i/g)*r_pivot with g = gcd(piv, v_i), divided
+    by the gcd of its entries.  Each row is thus a nonzero multiple of the
+    row rational elimination gives, so pivots, kernels and solutions are
+    those of rational elimination, and the gcd keeps entries small.
     """
     m = len(rows)
     pivots = []
-    prev = 1
     r = 0
     for c in range(pivot_limit):
         if r == m:
@@ -34,13 +38,19 @@ def echelonize(rows, pivot_limit):
         rr = rows[r]
         piv = rr[c]
         width = len(rr)
-        for i in range(r + 1, m):
+        for i in range(pr + 1, m):  # rows r+1..pr are 0 in column c
             ri = rows[i]
             vi = ri[c]
-            for j in range(c + 1, width):
-                ri[j] = (piv * ri[j] - vi * rr[j]) // prev
-            ri[c] = 0
-        prev = piv
+            if vi:
+                g = gcd(piv, vi)
+                a, b = piv // g, vi // g
+                for j in range(c + 1, width):
+                    ri[j] = a * ri[j] - b * rr[j]
+                ri[c] = 0
+                g = gcd(*ri)
+                if g > 1:
+                    for j in range(c + 1, width):
+                        ri[j] //= g
         pivots.append(c)
         r += 1
     return pivots

@@ -88,7 +88,10 @@ def integer_nullspace(rows: list[list[int]], cols: int) -> list[list[int]]:
         if fc in pivot_set:
             continue
         v = _back_substitute(rows, pivots, cols, fc)
-        basis.append(primitive_integer_vector(v))
+        g = gcd(*v)
+        if next(e for e in v if e) < 0:
+            g = -g
+        basis.append([e // g for e in v])
     return basis
 
 

@@ -12,8 +12,10 @@ than by counting.
 verify_component is the whole point: for one multidegree it computes the
 kernel dimension, the product-span dimension, and the independent tableau
 count, and reports whether all three agree.  It runs on integers indexed
-by component position (poly.component_strides): products expand into
-integer columns, which only _product_blocks assembles into matrices.
+by component position (poly.component_strides): one iterative walk over
+the u exponents expands every product into an integer column, sharing
+the expansion of common prefixes, and only _product_blocks assembles the
+columns into matrices; no ProductTerm is built on that path.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from operator import mul
 from typing import Iterator
 
@@ -32,7 +33,8 @@ from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds 
 from .kernel import delta_table, integer_delta, kernel_blocks
 from .linalg import LinearSolver, integer_rank
 from .poly import Polynomial, component_basis, component_strides, format_poly
-from .tableaux import kostka, two_row_partitions
+from .tableaux import kostka  # noqa: F401  (perfbench/tracer.py rebinds it here)
+from .tableaux import kostka_numbers
 
 __all__ = [
     "make_u",
@@ -107,81 +109,82 @@ class ProductTerm:
         return "*".join(parts) if parts else "1"
 
 
-@lru_cache(maxsize=None)
-def enumerate_products(d: int, n: tuple[int, ...]) -> tuple[ProductTerm, ...]:
-    """Every ProductTerm of multidegree n, exactly once, in a fixed order.
+def _exponent_walk(d: int, n: tuple[int, ...]) -> Iterator[tuple]:
+    """Every product of multidegree n as (level, q, p), p forced by q.
 
-    Recursion assigns u exponents pair by pair (lexicographic pairs,
-    exponent ascending); whatever degree remains is forced onto p.  The
-    all-x product therefore always comes first.
+    An iterative odometer over pair_order(d), exponents ascending, the
+    last pair turning fastest, so the all-x product comes first.  level is
+    the pair whose exponent just rose by one, all later ones back at 0
+    (len(q) for the first product); q and p are updated in place.
     """
     if len(n) != d or any(k < 0 for k in n):
         raise ValueError("invalid multidegree")
-    pairs = pair_order(d)
-    found: list[ProductTerm] = []
-
-    def assign(k: int, remaining: list[int], q: list[int]) -> None:
-        if k == len(pairs):
-            found.append(ProductTerm(tuple(remaining), tuple(q)))
-            return
+    pairs = [(i - 1, j - 1) for i, j in pair_order(d)]
+    p = list(n)
+    q = [0] * len(pairs)
+    yield len(q), q, p
+    k = len(q) - 1
+    while k >= 0:
         i, j = pairs[k]
-        cap = min(remaining[i - 1], remaining[j - 1])
-        for e in range(cap + 1):
-            remaining[i - 1] -= e
-            remaining[j - 1] -= e
-            q.append(e)
-            assign(k + 1, remaining, q)
-            q.pop()
-            remaining[i - 1] += e
-            remaining[j - 1] += e
+        if p[i] and p[j]:
+            p[i] -= 1
+            p[j] -= 1
+            q[k] += 1
+            yield k, q, p
+            k = len(q) - 1
+        else:
+            p[i] += q[k]
+            p[j] += q[k]
+            q[k] = 0
+            k -= 1
 
-    assign(0, list(n), [])
-    return tuple(found)
+
+@lru_cache(maxsize=None)
+def enumerate_products(d: int, n: tuple[int, ...]) -> tuple[ProductTerm, ...]:
+    """Every ProductTerm of multidegree n, exactly once, in _exponent_walk order."""
+    return tuple(ProductTerm(tuple(p), tuple(q)) for _, q, p in _exponent_walk(d, n))
 
 
-def _product_column(t: ProductTerm, strides: tuple[int, ...]) -> dict[int, int]:
-    """t expanded in its component's coordinates, {position: coefficient}.
+def _times_u(column: dict[int, int], si: int, sj: int) -> dict[int, int]:
+    """column * u_ij in component coordinates, zeros dropped.
 
-    A position depends only on the y-exponents, so x^p shifts nothing, and
-
-        u_ij^e = sum_k (-1)^k C(e, k) (x_i y_j)^(e-k) (x_j y_i)^k
-
-    adds k*stride_i + (e-k)*stride_j with coefficient (-1)^k C(e, k).
+    Positions count y-exponents only, so u_ij = x_i y_j - x_j y_i adds
+    stride_j with sign + and stride_i with sign -.
     """
-    column = {0: 1}
-    for (i, j), e in zip(pair_order(t.d), t.q):
-        if not e:
-            continue
-        si, sj = strides[i - 1], strides[j - 1]
-        factor = [
-            (k * si + (e - k) * sj, -comb(e, k) if k & 1 else comb(e, k))
-            for k in range(e + 1)
-        ]
-        out: dict[int, int] = {}
-        for pos, c in column.items():
-            for offset, f in factor:
-                key = pos + offset
-                out[key] = out.get(key, 0) + c * f
-        column = out
-    return {pos: c for pos, c in column.items() if c}
+    out: dict[int, int] = {}
+    for pos, c in column.items():
+        out[pos + sj] = out.get(pos + sj, 0) + c
+        out[pos + si] = out.get(pos + si, 0) - c
+    return {pos: c for pos, c in out.items() if c}
 
 
 def _product_columns(
     d: int, n: tuple[int, ...], table: tuple | None = None
-) -> list[dict[int, int]]:
-    """Every product of multidegree n as a column, each checked to be a constant.
+) -> list[tuple[int, dict[int, int]]]:
+    """(y-weight, column) of every product of multidegree n, each checked constant.
 
-    table is delta_table(d, n) when the caller has built it already.
+    In enumerate_products order.  partial[k + 1] is the product of the u
+    factors of pairs 0..k, shared by every product with those exponents:
+    when pair k's exponent rises it gains one u_ij factor, and the later
+    levels, back at 0, share it.  table is delta_table(d, n) when the
+    caller has built it already.
     """
     strides = component_strides(d, n)
     _, images = table or delta_table(d, n)
-    columns = []
-    for t in enumerate_products(d, n):
-        column = _product_column(t, strides)
+    pairs = pair_order(d)
+    partial = [{0: 1}] * (len(pairs) + 1)
+    out = []
+    for k, q, p in _exponent_walk(d, n):
+        if k < len(pairs):
+            i, j = pairs[k]
+            column = _times_u(partial[k + 1], strides[i - 1], strides[j - 1])
+            partial[k + 1 :] = [column] * (len(pairs) - k)
+        column = partial[-1]
         if integer_delta(images, column):
-            raise AssertionError(f"product {t.label()} is not a constant")
-        columns.append(column)
-    return columns
+            label = ProductTerm(tuple(p), tuple(q)).label()
+            raise AssertionError(f"product {label} is not a constant")
+        out.append((sum(q), column))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +192,11 @@ def expand(t: ProductTerm) -> Polynomial:
     """Multiply the product out; the result is always a constant of delta."""
     n = t.multidegree()
     basis = component_basis(t.d, n)
-    column = _product_column(t, component_strides(t.d, n))
+    strides = component_strides(t.d, n)
+    column = {0: 1}
+    for (i, j), e in zip(pair_order(t.d), t.q):
+        for _ in range(e):
+            column = _times_u(column, strides[i - 1], strides[j - 1])
     return Polynomial(t.d, {basis[pos]: c for pos, c in column.items()})
 
 
@@ -221,11 +228,12 @@ def _product_blocks(
     """
     columns = _product_columns(d, n, table)
     grouped: dict[int, list[int]] = {}
-    for k, t in enumerate(enumerate_products(d, n)):
-        grouped.setdefault(sum(t.q), []).append(k)
+    for k, (weight, _) in enumerate(columns):
+        grouped.setdefault(weight, []).append(k)
     for indices in grouped.values():
-        positions = sorted({pos for k in indices for pos in columns[k]})
-        rows = [[columns[k].get(pos, 0) for k in indices] for pos in positions]
+        block = [columns[k][1] for k in indices]
+        positions = sorted({pos for column in block for pos in column})
+        rows = [[column.get(pos, 0) for column in block] for pos in positions]
         yield indices, positions, rows
 
 
@@ -331,24 +339,26 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     """Compare the three dimension routes for one component.
 
     dim_kernel comes from exact elimination, dim_span from the rank of the
-    expanded products, and the oracle from summing Kostka numbers over
-    two-row shapes.  As side checks every kernel vector and every
+    expanded products, and the oracle from summing the Kostka numbers of
+    every two-row shape.  As side checks every kernel vector and every
     expanded product is confirmed to be a constant.
     """
     start = time.perf_counter()
     n = tuple(n)
     table = delta_table(d, n)
     dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, n, table))
-    products = enumerate_products(d, n)
-    dim_span = span_dimension(d, n, table)
-    oracle = sum(kostka(shape, n) for shape in two_row_partitions(sum(n)))
+    dim_span = product_count = 0
+    for ks, _, rows in _product_blocks(d, n, table):
+        dim_span += integer_rank(rows, len(ks))
+        product_count += len(ks)
+    oracle = sum(kostka_numbers(n))
     verdict = dim_kernel == dim_span == oracle
     return ComponentReport(
         n=n,
         dim_kernel=dim_kernel,
         dim_span=dim_span,
         dim_tableau_oracle=oracle,
-        product_count=len(products),
+        product_count=product_count,
         verdict=verdict,
         seconds=time.perf_counter() - start,
     )

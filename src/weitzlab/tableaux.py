@@ -1,9 +1,9 @@
 """Two-row tableau combinatorics: the oracle side that owns no linear algebra.
 
-Standard tableaux are enumerated exhaustively.  Kostka numbers are counted
-by a recurrence that places one letter at a time, in time polynomial in the
-content, and use no linear algebra either, which is what an independent
-oracle needs.  The test suite checks the recurrence against brute-force
+Standard tableaux are enumerated exhaustively.  The Kostka numbers of all
+two-row shapes are counted at once by a recurrence that places one letter
+at a time, in time polynomial in the content, and use no linear algebra
+either, which is what an independent oracle needs.  The test suite checks the recurrence against brute-force
 enumeration and the sl2 identity, and the two-row standard tableau count's
 closed form against the enumeration.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, prod
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "standard_tableaux",
     "standard_tableau_count",
     "kostka",
+    "kostka_numbers",
     "dimension_identity_check",
 ]
 
@@ -102,35 +103,42 @@ def standard_tableau_count(shape: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
+def kostka_numbers(content: tuple[int, ...]) -> tuple[int, ...]:
+    """K_{(|n|-b, b), n} for b = 0..|n|//2: every two-row shape of content n.
+
+    Entries come from 1..len(content) with entry i used content[i-1]
+    times; rows weakly increase and columns strictly increase.  After
+    letters 1..i, ways[b] counts the fillings with b cells in row 2 and
+    placed - b in row 1.  Letter i+1 puts t of its k copies in row 2, each
+    under a smaller letter, so t <= k and b + t <= placed - b.  The new
+    ways[c] sums the old ways[b] over c - k <= b <= min(c, placed - c),
+    one prefix-sum difference: O(len(content) * |n|) additions in all.
+    """
+    if any(k < 0 for k in content):
+        raise ValueError("content entries must be nonnegative")
+    ways = [1]
+    placed = 0
+    for k in content:
+        prefix = [0, *accumulate(ways)]
+        step = []
+        for c in range((placed + k) // 2 + 1):
+            lo, hi = max(0, c - k), min(c, placed - c)
+            step.append(prefix[hi + 1] - prefix[lo] if lo <= hi else 0)
+        ways = step
+        placed += k
+    return tuple(ways)
+
+
+@lru_cache(maxsize=None)
 def kostka(shape: Partition, content: tuple[int, ...]) -> int:
     """Number of semistandard fillings of shape with the given content.
 
-    Entries come from 1..len(content) with entry i used content[i-1]
-    times; rows weakly increase and columns strictly increase.  Counted
-    letter by letter: letters 1..i fill the first a cells of row 1 and the
-    first b of row 2, and a = (letters placed) - b, so partial fillings are
-    counted by b alone.  Letter i+1 puts t copies in row 2 and the rest in
-    row 1.  Each new row-2 cell needs a smaller letter above it, so
-    b + t <= a; the rows cap b + t <= l2 and a + content[i] - t <= l1.
-    O(len(content) * l2 * max(content)) steps, no enumeration.
+    A lookup into kostka_numbers(content).
     """
     l1, l2 = _check_partition(shape)
     if l1 + l2 != sum(content):
         raise ValueError("shape size must equal the content total")
-    if any(k < 0 for k in content):
-        raise ValueError("content entries must be nonnegative")
-    ways = [1] + [0] * l2  # ways[b]: fillings so far with b cells in row 2
-    placed = 0
-    for k in content:
-        step = [0] * (l2 + 1)
-        for b, w in enumerate(ways):
-            a = placed - b
-            if w:
-                for t in range(max(0, a + k - l1), min(k, a - b, l2 - b) + 1):
-                    step[b + t] += w
-        ways = step
-        placed += k
-    return ways[l2]
+    return kostka_numbers(content)[l2]
 
 
 def dimension_identity_check(content: tuple[int, ...]) -> bool:

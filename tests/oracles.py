@@ -1,7 +1,7 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive and shares no code path with the
-package: plain rational Gauss-Jordan instead of fraction-free Bareiss,
+package: plain rational Gauss-Jordan instead of fraction-free elimination,
 generate-and-filter enumerations instead of recursive construction, and
 the sl2 character identity instead of counting tableaux.
 Expected values asserted in the tests are computed with these.
@@ -63,6 +63,47 @@ def nullspace_oracle(rows: list[list[Fraction]], cols: int) -> list[list[Fractio
             v[pc] = -reduced[r][fc]
         basis.append(v)
     return basis
+
+
+def bareiss_oracle(rows, pivot_limit):
+    """Bareiss single-step reduction to row echelon form; returns the pivot columns.
+
+    The reference that the package's reducer must match pivot for pivot.
+    Pivots are searched only in columns 0..pivot_limit-1 (first nonzero
+    row at or below the current one), but eliminations update full rows,
+    so callers may carry extra bookkeeping columns on the right.  Every
+    remaining row is updated at every step, which is what keeps the
+    divisions by the previous pivot exact.
+    """
+    m = len(rows)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(pivot_limit):
+        if r == m:
+            break
+        pr = -1
+        for i in range(r, m):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        rr = rows[r]
+        piv = rr[c]
+        width = len(rr)
+        for i in range(r + 1, m):
+            ri = rows[i]
+            vi = ri[c]
+            for j in range(c + 1, width):
+                ri[j] = (piv * ri[j] - vi * rr[j]) // prev
+            ri[c] = 0
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def span_dim_of_polys(polys, basis_monomials) -> int:

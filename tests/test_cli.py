@@ -43,6 +43,22 @@ def test_verify_d2(runner):
     )
 
 
+def test_verify_deep_pair_order_does_not_recurse(runner):
+    # d=46 has 1,035 index pairs, more than the default recursion limit
+    result = runner.invoke(main, ["verify", "--d", "46", "--max-degree", "1"])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["aggregate"]["components_checked"] == 47
+    assert report["aggregate"]["violations"] == 0
+    assert all(c["verdict"] for c in report["components"])
+
+
+def test_decompose_deep_pair_order_does_not_recurse(runner):
+    result = runner.invoke(main, ["decompose", "--d", "45"], input="x1\n")
+    assert result.exit_code == 0
+    assert "x1: 1" in result.output
+
+
 def test_verify_rejects_d0(runner):
     result = runner.invoke(main, ["verify", "--d", "0", "--max-degree", "2"])
     assert result.exit_code == 2

@@ -15,7 +15,6 @@ from weitzlab.derivation import delta
 from weitzlab.kernel import delta_table, kernel_basis
 from weitzlab.poly import Polynomial, component_basis
 from weitzlab.products import (
-    ProductTerm,
     _component_solver,
     _product_columns,
     enumerate_products,
@@ -37,7 +36,7 @@ def as_column(poly, d, n):
 
 def test_product_columns_match_multiplication_oracle():
     for d, n in COMPONENTS:
-        columns = _product_columns(d, n)
+        columns = [column for _, column in _product_columns(d, n)]
         terms = enumerate_products(d, n)
         assert len(columns) == len(terms)
         for t, column in zip(terms, columns):
@@ -64,16 +63,13 @@ def test_span_rank_matches_solver_rank():
 
 
 def test_corrupted_product_column_fails_verification(monkeypatch):
-    real = products._product_column
-    u12 = ProductTerm(p=(0, 0), q=(1,))
+    # in the (1, 1) component of d=2 only u12 multiplies by a u
+    real = products._times_u
 
-    def corrupt(t, strides):
-        column = real(t, strides)
-        if t == u12:
-            column = {pos: c for pos, c in column.items() if c > 0}  # x1*y2 alone
-        return column
+    def corrupt(column, si, sj):
+        return {pos: c for pos, c in real(column, si, sj).items() if c > 0}  # x1*y2 alone
 
-    monkeypatch.setattr(products, "_product_column", corrupt)
+    monkeypatch.setattr(products, "_times_u", corrupt)
     with pytest.raises(AssertionError, match=r"^product u12 is not a constant$"):
         verify_component(2, (1, 1))
 

@@ -1,8 +1,10 @@
 """Recorded outputs that a refactor must reproduce exactly.
 
 The verify digests are the reference configurations from ROADMAP.md; the
-crosscheck digests were recorded before the tensor-block rank and the
-independence check moved to integer rows.  golden/kernel.txt holds
+d=4 |n|<=10 tier, whose kernel blocks reach 28 columns, was recorded with
+the Bareiss reducer that tests/oracles.py keeps.  The crosscheck digests
+were recorded before the tensor-block rank and the independence check
+moved to integer rows.  golden/kernel.txt holds
 `weitz kernel` output recorded before the integer component engine
 replaced the Polynomial route, and golden/decompose.txt holds
 `weitz decompose --format json` certificates recorded before the solver's
@@ -37,6 +39,7 @@ INVARIANTS = [
     (3, 6, 84, "9b0f8ef4d6778d17cd8cd74e16f366ccf73200c8738aa38059161246ebb8dced"),
     (4, 6, 210, "179541056d156e87bdb061ac693a9b7f0402d3af6f1dc445d1de4d482292dc68"),
     (2, 30, 496, "df6f9853b6ff14397ac6f6dba4d902b72c621c42b2ea7140e953fa29b90d1971"),
+    (4, 10, 1001, "45f333bc755efd543ff49e650e64b504c1e68e33369b4e46f2fac1360357d32f"),
 ]
 
 CROSSCHECK = [

@@ -1,11 +1,15 @@
 """The row reducer and the integer rank, nullspace and LinearSolver on top.
 
 Ranks and nullspaces are checked against the naive rational elimination
-oracle.
+oracle, and the reducer against the Bareiss reduction it replaced: the
+same pivots, kernel vectors and solver certificates.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
+
+import pytest
 
 import weitzlab._rowred_py as rowred_py
 from weitzlab.linalg import (
@@ -16,7 +20,7 @@ from weitzlab.linalg import (
     primitive_integer_vector,
 )
 
-from oracles import nullspace_oracle, rank_oracle, rref, same_span
+from oracles import bareiss_oracle, nullspace_oracle, rank_oracle, rref, same_span
 
 
 def random_int_matrix(rng, m, k, density=0.7, span=9):
@@ -48,6 +52,72 @@ def test_echelonize_rank_matches_oracle():
             assert rows[r][c] != 0
             assert all(rows[i][c] == 0 for i in range(r + 1, m))
             assert all(rows[r][cc] == 0 for cc in range(c))
+
+
+def primitive(row):
+    g = gcd(*row)
+    if not g:
+        return row
+    if next(e for e in row if e) < 0:
+        g = -g
+    return [e // g for e in row]
+
+
+def bareiss_cases(seed, count):
+    """Random sparse (at least 70% zeros) and dense integer matrices, as (rows, cols)."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        density = rng.uniform(0.05, 0.3) if k % 2 else rng.uniform(0.8, 1.0)
+        m = rng.randint(1, 12)
+        cols = rng.randint(1, 12)
+        cases.append((random_int_matrix(rng, m, cols, density, rng.choice([1, 3, 30])), cols))
+    return cases
+
+
+def under_bareiss(monkeypatch, fn, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(rowred_py, "echelonize", bareiss_oracle)
+        return fn(*args)
+
+
+def test_echelonize_matches_bareiss():
+    for rows, cols in bareiss_cases(5, 300):
+        ours, theirs = copy(rows), copy(rows)
+        pivots = rowred_py.echelonize(ours, cols)
+        assert pivots == bareiss_oracle(theirs, cols)
+        # every row is a nonzero multiple of its Bareiss counterpart
+        assert [primitive(r) for r in ours] == [primitive(r) for r in theirs]
+
+
+def test_nullspace_matches_bareiss(monkeypatch):
+    for rows, cols in bareiss_cases(6, 300):
+        expected = under_bareiss(monkeypatch, integer_nullspace, copy(rows), cols)
+        assert integer_nullspace(copy(rows), cols) == expected
+
+
+@pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+def test_solver_matches_bareiss(monkeypatch, sparse):
+    rng = random.Random(7 + sparse)
+    outcomes = {"solved": 0, "inconsistent": 0}
+    for _ in range(150):
+        m = rng.randint(1, 10)
+        cols = rng.randint(1, 10)
+        density = rng.uniform(0.05, 0.3) if sparse else rng.uniform(0.8, 1.0)
+        rows = random_int_matrix(rng, m, cols, density, rng.choice([1, 3, 30]))
+        ours = LinearSolver(copy(rows), cols)
+        theirs = under_bareiss(monkeypatch, LinearSolver, copy(rows), cols)
+        assert ours.rank == theirs.rank
+        for _ in range(4):
+            if rng.random() < 0.5:
+                coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
+                b = mul_vector(rows, coeffs)
+            else:
+                b = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)]
+            x = ours.solve(b)
+            assert x == theirs.solve(b)
+            outcomes["solved" if x is not None else "inconsistent"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_nullspace_zero_matrix():

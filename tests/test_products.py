@@ -170,11 +170,8 @@ def test_decompose_rejections():
 
 def test_decompose_untouched_coefficient_is_a_violation(monkeypatch):
     # with u12 expanding to nothing, no product touches x1*y2 or x2*y1
-    real = products._product_column
-    u12 = ProductTerm(p=(0, 0), q=(1,))
-    monkeypatch.setattr(
-        products, "_product_column", lambda t, strides: {} if t == u12 else real(t, strides)
-    )
+    # in the (1, 1) component of d=2 only u12 multiplies by a u
+    monkeypatch.setattr(products, "_times_u", lambda column, si, sj: {})
     products._component_solver.cache_clear()
     try:
         with pytest.raises(ConjectureViolation):

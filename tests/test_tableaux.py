@@ -8,6 +8,7 @@ from weitzlab.tableaux import (
     StandardTableau,
     dimension_identity_check,
     kostka,
+    kostka_numbers,
     standard_tableau_count,
     standard_tableaux,
     two_row_partitions,
@@ -100,6 +101,23 @@ def test_kostka_matches_sl2_identity():
     for content in SMALL_CONTENTS + [(10, 10), (15, 15)]:
         for shape in two_row_partitions(sum(content)):
             assert kostka(shape, content) == sl2_kostka(shape, content)
+
+
+def test_kostka_numbers_are_every_two_row_shape():
+    for content in SMALL_CONTENTS:
+        total = sum(content)
+        numbers = kostka_numbers(content)
+        assert len(numbers) == total // 2 + 1
+        for b, number in enumerate(numbers):
+            shape = (total - b, b)
+            assert number == kostka_enumeration_oracle(shape, content)
+            assert number == sl2_kostka(shape, content)
+        assert sum(numbers) == sum(kostka(s, content) for s in two_row_partitions(total))
+
+
+def test_kostka_numbers_reject_negative_content():
+    with pytest.raises(ValueError, match="nonnegative"):
+        kostka_numbers((2, -1))
 
 
 def test_kostka_rejects_size_mismatch():
