@@ -40,6 +40,7 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "component_basis",
+    "component_content",
     "component_strides",
     "format_poly",
     "parse_poly",
@@ -369,6 +370,17 @@ def component_strides(d: int, n: tuple[int, ...]) -> tuple[int, ...]:
     for i in range(d - 2, -1, -1):
         strides[i] = strides[i + 1] * (n[i + 1] + 1)
     return tuple(strides)
+
+
+def component_content(d: int, n: tuple[int, ...]) -> tuple[int, ...]:
+    """The nonzero entries of n in order, once (d, n) is checked.
+
+    A zero n_i has radix 1, so the component of n and that of its content
+    c, in dimension len(c), have the same positions and the same integers
+    on them: delta_table, kernel_blocks, product columns, kostka_numbers.
+    """
+    _check_multidegree(d, n)
+    return tuple(filter(None, n))
 
 
 # -------------------------------------------------------------------- text format

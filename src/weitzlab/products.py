@@ -16,6 +16,11 @@ by component position (poly.component_strides): one iterative walk over
 the u exponents expands every product into an integer column, sharing
 the expansion of common prefixes, and only _product_blocks assembles the
 columns into matrices; no ProductTerm is built on that path.
+
+Both verify_component and decompose key this engine on the component's
+content (poly.component_content): components that differ only by zero
+exponents are the same integers, so each distinct content is computed
+once per process.
 """
 
 from __future__ import annotations
@@ -32,8 +37,13 @@ from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
 from .kernel import delta_table, integer_delta, kernel_blocks
 from .linalg import LinearSolver, integer_rank
-from .poly import Polynomial, component_basis, component_strides, format_poly
-from .tableaux import kostka  # noqa: F401  (perfbench/tracer.py rebinds it here)
+from .poly import (
+    Polynomial,
+    component_basis,
+    component_content,
+    component_strides,
+    format_poly,
+)
 from .tableaux import kostka_numbers
 
 __all__ = [
@@ -270,8 +280,9 @@ def _certificate(f: Polynomial, n: tuple[int, ...]) -> dict | None:
     """f as a combination of the products of multidegree n, or None."""
     strides = component_strides(f.d, n)
     values = {sum(map(mul, m.b, strides)): c for m, c in f.terms()}
+    c = component_content(f.d, n)
     solution = {}
-    for indices, positions, solver in _component_solver(f.d, n):
+    for indices, positions, solver in _component_solver(len(c), c):
         x = solver.solve([values.pop(pos, 0) for pos in positions])
         if x is None:
             return None
@@ -335,23 +346,36 @@ class ComponentReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(dim_kernel, dim_span, oracle, product_count) of content c, d = len(c)."""
+    d = len(c)
+    table = delta_table(d, c)
+    dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, c, table))
+    dim_span = product_count = 0
+    for ks, _, rows in _product_blocks(d, c, table):
+        dim_span += integer_rank(rows, len(ks))
+        product_count += len(ks)
+    return dim_kernel, dim_span, sum(kostka_numbers(c)), product_count
+
+
 def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     """Compare the three dimension routes for one component.
 
     dim_kernel comes from exact elimination, dim_span from the rank of the
     expanded products, and the oracle from summing the Kostka numbers of
     every two-row shape.  As side checks every kernel vector and every
-    expanded product is confirmed to be a constant.
+    expanded product is confirmed to be a constant.  The numbers are
+    computed once per content c, the nonzero entries of n in dimension
+    len(c) (poly.component_content), so a component that shares its
+    content with an earlier one costs a lookup, and a failing side check
+    names products by the content's indices.
     """
     start = time.perf_counter()
     n = tuple(n)
-    table = delta_table(d, n)
-    dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, n, table))
-    dim_span = product_count = 0
-    for ks, _, rows in _product_blocks(d, n, table):
-        dim_span += integer_rank(rows, len(ks))
-        product_count += len(ks)
-    oracle = sum(kostka_numbers(n))
+    dim_kernel, dim_span, oracle, product_count = _content_dimensions(
+        component_content(d, n)
+    )
     verdict = dim_kernel == dim_span == oracle
     return ComponentReport(
         n=n,

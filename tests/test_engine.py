@@ -4,16 +4,21 @@ Every component with d <= 4 and |n| <= 5 is checked three ways: product
 columns against repeated Polynomial multiplication, the integer delta
 against derivation.delta, and the span rank against the summed ranks of
 the decomposition solver's blocks and the unsplit rational rank.  The
-fault-injection tests corrupt one column or one kernel vector and
-require the constancy side checks to fire with their usual messages.
+engine computes each content once, so the integers it builds for a
+multidegree are checked equal to those of its content, and sweep records
+equal to cold recomputations.  The fault-injection tests corrupt one
+column or one kernel vector on cold caches and require the constancy
+side checks to fire with their usual messages.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from weitzlab import kernel, products
 from weitzlab.derivation import delta
-from weitzlab.kernel import delta_table, kernel_basis
-from weitzlab.poly import Polynomial, component_basis
+from weitzlab.kernel import delta_table, kernel_basis, kernel_blocks
+from weitzlab.poly import Polynomial, component_basis, component_content
 from weitzlab.products import (
     _component_solver,
     _product_columns,
@@ -22,7 +27,8 @@ from weitzlab.products import (
     span_dimension,
     verify_component,
 )
-from weitzlab.report import enumerate_multidegrees
+from weitzlab.report import SweepConfig, enumerate_multidegrees, run_verify_sweep
+from weitzlab.tableaux import kostka_numbers
 
 from oracles import expand_oracle, span_dim_of_polys
 
@@ -62,7 +68,36 @@ def test_span_rank_matches_solver_rank():
         assert span_dimension(d, n) == solver_rank == unsplit, n
 
 
-def test_corrupted_product_column_fails_verification(monkeypatch):
+def test_components_equal_their_content():
+    components = [(d, n) for d in range(1, 5) for n in enumerate_multidegrees(d, 7)]
+    components += [(5, n) for n in enumerate_multidegrees(5, 5)]
+    for d, n in components:
+        c = component_content(d, n)
+        assert delta_table(d, n) == delta_table(len(c), c), n
+        assert kernel_blocks(d, n) == kernel_blocks(len(c), c), n
+        assert _product_columns(d, n) == _product_columns(len(c), c), n
+        assert kostka_numbers(n) == kostka_numbers(c), n
+
+
+def test_sweep_records_equal_cold_recomputation():
+    report = run_verify_sweep(SweepConfig(d=4, max_total_degree=6))
+    for record in report.components:
+        products._content_dimensions.cache_clear()
+        fresh = verify_component(4, record.n)
+        assert replace(record, seconds=0) == replace(fresh, seconds=0)
+
+
+@pytest.fixture
+def cold_engine():
+    """Empty the engine's caches, so that a corrupted layer actually runs."""
+    products._content_dimensions.cache_clear()
+    kernel_basis.cache_clear()
+    yield
+    products._content_dimensions.cache_clear()
+    kernel_basis.cache_clear()
+
+
+def test_corrupted_product_column_fails_verification(monkeypatch, cold_engine):
     # in the (1, 1) component of d=2 only u12 multiplies by a u
     real = products._times_u
 
@@ -74,7 +109,7 @@ def test_corrupted_product_column_fails_verification(monkeypatch):
         verify_component(2, (1, 1))
 
 
-def test_corrupted_kernel_vector_fails_both_routes(monkeypatch):
+def test_corrupted_kernel_vector_fails_both_routes(monkeypatch, cold_engine):
     real = kernel.integer_nullspace
 
     def corrupt(rows, cols):
@@ -82,10 +117,8 @@ def test_corrupted_kernel_vector_fails_both_routes(monkeypatch):
         return [[v[0] + 1] + v[1:] if len(v) > 1 else v for v in vectors]
 
     monkeypatch.setattr(kernel, "integer_nullspace", corrupt)
-    kernel_basis.cache_clear()
     message = r"^kernel vector failed the constancy check$"
     with pytest.raises(AssertionError, match=message):
         verify_component(2, (1, 1))
     with pytest.raises(AssertionError, match=message):
         kernel_basis(2, (1, 1))
-    kernel_basis.cache_clear()

@@ -2,7 +2,10 @@
 
 The verify digests are the reference configurations from ROADMAP.md; the
 d=4 |n|<=10 tier, whose kernel blocks reach 28 columns, was recorded with
-the Bareiss reducer that tests/oracles.py keeps.  The crosscheck digests
+the Bareiss reducer that tests/oracles.py keeps, and the d=8 |n|<=8 tier
+by a sweep that computed every component, before components that share
+a content shared one computation.  The pool digest is the d=4 |n|<=8
+sweep with two workers, each with caches of its own.  The crosscheck digests
 were recorded before the tensor-block rank and the independence check
 moved to integer rows.  golden/kernel.txt holds
 `weitz kernel` output recorded before the integer component engine
@@ -24,6 +27,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from weitzlab import products
 from weitzlab.cli import main
 from weitzlab.poly import Polynomial
 from weitzlab.products import decompose, enumerate_products, expand
@@ -32,6 +36,7 @@ from weitzlab.report import (
     enumerate_multidegrees,
     run_crosscheck,
     run_verify_sweep,
+    strip_timing,
 )
 
 INVARIANTS = [
@@ -40,7 +45,10 @@ INVARIANTS = [
     (4, 6, 210, "179541056d156e87bdb061ac693a9b7f0402d3af6f1dc445d1de4d482292dc68"),
     (2, 30, 496, "df6f9853b6ff14397ac6f6dba4d902b72c621c42b2ea7140e953fa29b90d1971"),
     (4, 10, 1001, "45f333bc755efd543ff49e650e64b504c1e68e33369b4e46f2fac1360357d32f"),
+    (8, 8, 12870, "0c57dff3aa4d81c1e6b413aa18abaa218b1d0280b264535741d00216b78a53f7"),
 ]
+
+POOL_DIGEST = "03bc30974a9bd72d85e76464a1710553943467a06b29a3ed36c3faaa3a567c42"
 
 CROSSCHECK = [
     (2, 6, 28, "912a55e3a3ec048c122525a8c373ce3890fe90191891d8449035fabede48380e"),
@@ -74,6 +82,16 @@ def test_invariant_digests(d, max_degree, components, digest):
     assert report["aggregate"]["components_checked"] == components
     assert report["aggregate"]["violations"] == 0
     assert report["content_digest"] == digest
+
+
+def test_pool_sweep_digest():
+    products._content_dimensions.cache_clear()  # a forked worker copies this cache
+    pool = run_verify_sweep(SweepConfig(d=4, max_total_degree=8, parallelism=2))
+    serial = run_verify_sweep(SweepConfig(d=4, max_total_degree=8))
+    assert pool.to_dict()["content_digest"] == POOL_DIGEST
+    assert strip_timing(pool.to_dict())["components"] == strip_timing(
+        serial.to_dict()
+    )["components"]
 
 
 @pytest.mark.parametrize("args,expected", golden_kernel_runs())

@@ -229,3 +229,19 @@ def test_verify_component_d3_111_resolved_dimension():
     r = verify_component(3, (1, 1, 1))
     assert (r.dim_kernel, r.dim_span, r.dim_tableau_oracle) == (3, 3, 3)
     assert r.product_count == 4
+
+
+@pytest.mark.parametrize(
+    "d,n,message",
+    [
+        (3, (1, 2), "multidegree length must equal d"),
+        (2, (1, 2, 0), "multidegree length must equal d"),
+        (2, (1, -1), "multidegree entries must be nonnegative"),
+        (3, (0, -1, 2), "multidegree entries must be nonnegative"),
+    ],
+)
+def test_verify_component_rejects_malformed_multidegree(d, n, message):
+    # the content's numbers are cached by now; the check must not ride on them
+    verify_component(2, (1, 2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_component(d, n)
