@@ -17,6 +17,12 @@ the u exponents expands every product into an integer column, sharing
 the expansion of common prefixes, and only _product_blocks assembles the
 columns into matrices; no ProductTerm is built on that path.
 
+decompose needs no matrix.  The standard products, one per two-row
+semistandard tableau (_standard_columns), are a basis of each component
+and each has its own leading position with coefficient +-1 (standard
+monomial theory), so a constant is straightened into them from its
+largest position down.
+
 Both verify_component and decompose key this engine on the component's
 content (poly.component_content): components that differ only by zero
 exponents are the same integers, so each distinct content is computed
@@ -29,14 +35,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import Iterator
 
 from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
 from .kernel import delta_table, integer_delta, kernel_blocks
-from .linalg import LinearSolver, integer_rank
+from .linalg import integer_rank
 from .poly import (
     Polynomial,
     component_basis,
@@ -229,12 +237,13 @@ class ConjectureViolation(Exception):
 def _product_blocks(
     d: int, n: tuple[int, ...], table: tuple | None = None
 ) -> Iterator[tuple]:
-    """The expansion matrix of a component, split by y-weight.
+    """The expansion matrix of all products of a component, split by y-weight.
 
     x^p * prod u_ij^q_ij has y-weight sum(q) in every term, so the matrix
     is block diagonal.  A block is (indices, positions, rows): its products
     in enumeration order, the positions they touch (ascending) and one
-    fresh dense integer row per position.
+    fresh dense integer row per position.  Only the span rank reads it;
+    decompose straightens over the standard products instead.
     """
     columns = _product_columns(d, n, table)
     grouped: dict[int, list[int]] = {}
@@ -245,13 +254,6 @@ def _product_blocks(
         positions = sorted({pos for column in block for pos in column})
         rows = [[column.get(pos, 0) for column in block] for pos in positions]
         yield indices, positions, rows
-
-
-@lru_cache(maxsize=None)
-def _component_solver(d: int, n: tuple[int, ...]) -> tuple:
-    """(indices, positions, LinearSolver) for every product block, built once."""
-    blocks = _product_blocks(d, n)
-    return tuple((ks, at, LinearSolver(rows, len(ks))) for ks, at, rows in blocks)
 
 
 def span_dimension(d: int, n: tuple[int, ...], table: tuple | None = None) -> int:
@@ -276,29 +278,157 @@ def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
     )
 
 
+def _standard_columns(d: int, c: tuple[int, ...]) -> list[tuple]:
+    """(q, p, column) of every standard product of content c, each checked constant.
+
+    The standard products are indexed by the two-row semistandard
+    tableaux of content c on the reversed alphabet d > d-1 > ... > 1: a
+    height-2 column with top b over bottom a (a < b) is u_ab, a row-1
+    cell l left over at the right end is x_l.  So the pairs (a, b) form a
+    chain (no a < a' with b > b'), and x_l appears only for l at most the
+    smallest b used.  The walk places the letters d, d-1, ..., 1 in turn:
+    k copies of l go into row 2, under the first row-1 cells not yet
+    covered (one u factor each), and the rest of the copies extend row 1.
+    Products with the same choices so far share that part of the column.
+    """
+    strides = component_strides(d, c)
+    _, images = delta_table(d, c)
+    slot = {pair: k for k, pair in enumerate(pair_order(d))}
+    q = [0] * len(slot)
+    out = []
+
+    def place(l: int, top: list[int], covered: int, column: dict[int, int]) -> None:
+        if l == 0:
+            p = [0] * d
+            for b in top[covered:]:
+                p[b - 1] += 1
+            if integer_delta(images, column):
+                label = ProductTerm(tuple(p), tuple(q)).label()
+                raise AssertionError(f"product {label} is not a constant")
+            out.append((tuple(q), tuple(p), column))
+            return
+        count = c[l - 1]
+        for k in range(min(count, len(top) - covered) + 1):
+            if k:
+                b = top[covered + k - 1]
+                column = _times_u(column, strides[l - 1], strides[b - 1])
+                q[slot[l, b]] += 1
+            place(l - 1, top + [l] * (count - k), covered + k, column)
+        for b in top[covered : covered + k]:
+            q[slot[l, b]] -= 1
+
+    place(d, [], 0, {0: 1})
+    return out
+
+
+@lru_cache(maxsize=None)
+def _component_solver(d: int, c: tuple[int, ...]) -> dict[int, tuple]:
+    """The standard products of content c by leading position, built once.
+
+    Maps each product's leading position, its largest, to (q, p, sign,
+    rest): its exponents, the coefficient there and the (position,
+    coefficient) pairs of the rest of its column.  u_ab = x_a y_b - x_b y_a
+    leads with -x_b y_a, so a standard product leads with y to the power
+    of its row 2, coefficient +-1, and distinct tableaux have distinct
+    leads.  Position order is lex on the y exponents, a monomial order;
+    weighting y_i by d + 1 - i first would pick the same leads.  A column
+    that breaks this raises AssertionError.  An empty column has no lead
+    and is skipped, so the positions it should cover stay uncovered.
+    """
+    table: dict[int, tuple] = {}
+    for q, p, column in _standard_columns(d, c):
+        if not column:
+            continue
+        lead = max(column)
+        sign = column[lead]
+        if sign not in (1, -1):
+            label = ProductTerm(p, q).label()
+            raise AssertionError(f"product {label} leads with coefficient {sign}")
+        if lead in table:
+            labels = [ProductTerm(p, q).label() for q, p, *_ in (table[lead], (q, p))]
+            raise AssertionError(f"products {' and '.join(labels)} share a lead")
+        rest = [(pos, e) for pos, e in column.items() if pos != lead]
+        table[lead] = (q, p, sign, rest)
+    return table
+
+
 def _certificate(f: Polynomial, n: tuple[int, ...]) -> dict | None:
-    """f as a combination of the products of multidegree n, or None."""
-    strides = component_strides(f.d, n)
-    values = {sum(map(mul, m.b, strides)): c for m, c in f.terms()}
-    c = component_content(f.d, n)
-    solution = {}
-    for indices, positions, solver in _component_solver(len(c), c):
-        x = solver.solve([values.pop(pos, 0) for pos in positions])
-        if x is None:
+    """f as a combination of the standard products of multidegree n, or None.
+
+    f is scaled to integers by the lcm of its denominators and
+    straightened from its largest position down: the standard product
+    that leads there takes the whole coefficient, and its column, which
+    lies below its lead, is subtracted.  A position that leads no
+    product means f is outside the span.
+    """
+    strides, c, index, slots = _coordinates(f.d, n)
+    terms = list(f.terms())
+    den = lcm(*[v.denominator for _, v in terms])
+    residual = {
+        sum(map(mul, m.b, strides)): v.numerator * (den // v.denominator)
+        for m, v in terms
+    }
+    table = _component_solver(len(c), c)
+    heap = [-pos for pos in residual]
+    heapify(heap)
+    support = []
+    while heap:
+        lead = -heappop(heap)
+        value = residual.pop(lead)
+        if not value:
+            continue
+        entry = table.get(lead)
+        if entry is None:
             return None
-        solution.update(zip(indices, x))
-    if values:  # f has a monomial that no product touches
-        return None
-    products = enumerate_products(f.d, n)
-    return {products[k]: c for k, c in sorted(solution.items()) if c}
+        q, p, sign, rest = entry
+        value *= sign
+        support.append((q, p, value))
+        for pos, e in rest:
+            if pos in residual:
+                residual[pos] -= value * e
+            else:
+                residual[pos] = -value * e
+                heappush(heap, -pos)
+    support.sort()
+    if len(c) < f.d:  # content indices back to those of n
+        npairs = f.d * (f.d - 1) // 2
+        support = [
+            (_spread(q, slots, npairs), _spread(p, index, f.d), value)
+            for q, p, value in support
+        ]
+    return {ProductTerm(p, q): Fraction(value, den) for q, p, value in support}
+
+
+@lru_cache(maxsize=None)
+def _coordinates(d: int, n: tuple[int, ...]) -> tuple:
+    """(strides, content, index, slots) of component n, checked once.
+
+    index[i] is where content index i + 1 sits in n (0-based), and
+    slots[k] where the k-th pair of pair_order(len(content)) sits in
+    pair_order(d).
+    """
+    strides = component_strides(d, n)
+    c = component_content(d, n)
+    index = [i for i, k in enumerate(n) if k]
+    slot = {pair: k for k, pair in enumerate(pair_order(d))}
+    slots = [slot[index[i - 1] + 1, index[j - 1] + 1] for i, j in pair_order(len(c))]
+    return strides, c, index, slots
+
+
+def _spread(values: tuple[int, ...], at: list[int], size: int) -> tuple[int, ...]:
+    """values placed at the indices at of a zero tuple of length size."""
+    out = [0] * size
+    for i, e in zip(at, values):
+        out[i] = e
+    return tuple(out)
 
 
 def decompose(f: Polynomial) -> dict[ProductTerm, Fraction]:
-    """Write a homogeneous constant as a combination of products.
+    """Write a homogeneous constant in the standard products of its multidegree.
 
-    Among the affine solution set the certificate supported on the
-    earliest products in enumeration order is returned (free coordinates
-    of the echelon parametrization are pinned to zero, block by block).
+    The standard products (_standard_columns) are a basis of the
+    component, so the certificate is the unique one on them, found by
+    straightening with no linear solve; its terms are in increasing q.
     It re-expands to f exactly, proving f a constant, so delta(f) runs
     only without one, to pick the error: NotInKernel, else NotHomogeneous,
     else ConjectureViolation (which contradicts the spanning theorem).

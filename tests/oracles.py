@@ -232,6 +232,18 @@ def products_oracle(d: int, n: tuple[int, ...]) -> set[tuple[tuple, tuple]]:
     return out
 
 
+def is_standard_product(t) -> bool:
+    """Is a ProductTerm standard on the reversed alphabet d > ... > 1?
+
+    Its pairs (a, b) form a chain, no a < a' with b > b', and x_l appears
+    only for l at most the smallest b used; read off the exponents alone.
+    """
+    pairs = [pair for pair, e in zip(combinations(range(1, t.d + 1), 2), t.q) if e]
+    chain = not any(a < a2 and b > b2 for a, b in pairs for a2, b2 in pairs)
+    bound = min((b for _, b in pairs), default=t.d)
+    return chain and all(l <= bound for l, e in enumerate(t.p, start=1) if e)
+
+
 def expand_oracle(t) -> Polynomial:
     """Multiply a ProductTerm out by repeated Polynomial multiplication."""
     d = t.d

@@ -2,8 +2,10 @@
 
 Every component with d <= 4 and |n| <= 5 is checked three ways: product
 columns against repeated Polynomial multiplication, the integer delta
-against derivation.delta, and the span rank against the summed ranks of
-the decomposition solver's blocks and the unsplit rational rank.  The
+against derivation.delta, and the span rank against the number of
+standard products and the unsplit rational rank.  decompose, which
+straightens over the standard products, must find a certificate exactly
+when the all-product LinearSolver it replaced does.  The
 engine computes each content once, so the integers it builds for a
 multidegree are checked equal to those of its content, and sweep records
 equal to cold recomputations.  The fault-injection tests corrupt one
@@ -11,17 +13,24 @@ column or one kernel vector on cold caches and require the constancy
 side checks to fire with their usual messages.
 """
 
+import random
 from dataclasses import replace
+from operator import mul
 
 import pytest
 
 from weitzlab import kernel, products
 from weitzlab.derivation import delta
 from weitzlab.kernel import delta_table, kernel_basis, kernel_blocks
-from weitzlab.poly import Polynomial, component_basis, component_content
+from weitzlab.linalg import LinearSolver
+from weitzlab.poly import Polynomial, component_basis, component_content, component_strides
 from weitzlab.products import (
-    _component_solver,
+    ConjectureViolation,
+    NotInKernel,
+    _product_blocks,
     _product_columns,
+    _standard_columns,
+    decompose,
     enumerate_products,
     expand,
     span_dimension,
@@ -31,6 +40,7 @@ from weitzlab.report import SweepConfig, enumerate_multidegrees, run_verify_swee
 from weitzlab.tableaux import kostka_numbers
 
 from oracles import expand_oracle, span_dim_of_polys
+from test_invariants import certificate_inputs
 
 COMPONENTS = [(d, n) for d in range(1, 5) for n in enumerate_multidegrees(d, 5)]
 
@@ -60,12 +70,39 @@ def test_integer_delta_matches_derivation():
             assert dict(images[pos]) == as_column(image, d, n)
 
 
-def test_span_rank_matches_solver_rank():
+def test_span_rank_matches_standard_count():
     for d, n in COMPONENTS:
-        solver_rank = sum(solver.rank for _, _, solver in _component_solver(d, n))
         polys = [expand_oracle(t) for t in enumerate_products(d, n)]
         unsplit = span_dim_of_polys(polys, component_basis(d, n))
-        assert span_dimension(d, n) == solver_rank == unsplit, n
+        assert span_dimension(d, n) == len(_standard_columns(d, n)) == unsplit, n
+
+
+def solver_finds_certificate(f, d, n):
+    """Is every y-weight block of the all-product system [A | I] consistent at f?"""
+    strides = component_strides(d, n)
+    values = {sum(map(mul, m.b, strides)): c for m, c in f.terms()}
+    for indices, positions, rows in _product_blocks(d, n):
+        b = [values.pop(pos, 0) for pos in positions]
+        if LinearSolver(rows, len(indices)).solve(b) is None:
+            return False
+    return not values  # a monomial that no product touches
+
+
+def test_decompose_agrees_with_all_product_solver():
+    rng = random.Random(11)
+    for d, n, f in certificate_inputs():
+        monomial = Polynomial.from_monomial(rng.choice(component_basis(d, n)))
+        for g in (f, f + monomial):
+            try:
+                certificate = decompose(g)
+            except (NotInKernel, ConjectureViolation):
+                certificate = None
+            assert (certificate is not None) == solver_finds_certificate(g, d, n), n
+            if certificate is not None:
+                rebuilt = Polynomial.zero(d)
+                for t, c in certificate.items():
+                    rebuilt = rebuilt + expand(t) * c
+                assert rebuilt == g, n
 
 
 def test_components_equal_their_content():

@@ -11,11 +11,12 @@ moved to integer rows.  golden/kernel.txt holds
 `weitz kernel` output recorded before the integer component engine
 replaced the Polynomial route, and golden/decompose.txt holds
 `weitz decompose --format json` certificates recorded before the solver's
-back substitution moved to integers.  Each golden block is the command
-line, with its standard input as a here-string after `<<<`, followed by
-its output.  The certificate digest was recorded before decompose moved
-to per-y-weight blocks; it pins which certificate is chosen, not only
-that it re-expands.
+back substitution moved to integers; its Plucker block, and the
+certificate digest, were re-recorded when decompose moved to the
+standard products, where the certificate is unique.  Each golden block
+is the command line, with its standard input as a here-string after
+`<<<`, followed by its output.  The certificate digest pins which
+certificate is returned, not only that it re-expands.
 """
 
 import hashlib
@@ -56,7 +57,7 @@ CROSSCHECK = [
     (4, 4, 70, "1802571bf1e3100e64e783434d995a9c0f18df788980b0f04f6eebfb16a0874b"),
 ]
 
-CERTIFICATE_DIGEST = "a3a9895216f78ac27724ef570cf7a445159ec341c1ff44555b8db715ae032ac7"
+CERTIFICATE_DIGEST = "e9a4c2d58a37f9d14ff191f449168478c14937413ad38d75a93b09f82cadc08d"
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,10 +125,9 @@ def test_crosscheck_digests(d, limit, contents, digest):
     assert report["content_digest"] == digest
 
 
-def test_decompose_certificate_digest():
-    """One seeded rational combination of products per component, d <= 4, |n| <= 6."""
+def certificate_inputs():
+    """(d, n, f): one seeded rational combination of products per component, d <= 4, |n| <= 6."""
     rng = random.Random(2019)
-    digest = hashlib.sha256()
     for d in range(1, 5):
         for n in enumerate_multidegrees(d, 6):
             terms = enumerate_products(d, n)
@@ -135,7 +135,13 @@ def test_decompose_certificate_digest():
             while f.is_zero:  # a Pluecker combination can cancel to zero
                 for t in rng.sample(terms, rng.randint(1, min(4, len(terms)))):
                     f = f + expand(t) * Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            certificate = decompose(f)
-            key = (n, sorted((t.p, t.q, str(c)) for t, c in certificate.items()))
-            digest.update(repr(key).encode())
+            yield d, n, f
+
+
+def test_decompose_certificate_digest():
+    digest = hashlib.sha256()
+    for _, n, f in certificate_inputs():
+        certificate = decompose(f)
+        key = (n, sorted((t.p, t.q, str(c)) for t, c in certificate.items()))
+        digest.update(repr(key).encode())
     assert digest.hexdigest() == CERTIFICATE_DIGEST

@@ -2,19 +2,20 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from weitzlab import products
 from weitzlab.derivation import delta, is_constant
 from weitzlab.kernel import kernel_basis
-from weitzlab.poly import Polynomial, component_basis, parse_poly
+from weitzlab.poly import Polynomial, component_basis, component_content, parse_poly
 from weitzlab.products import (
     ConjectureViolation,
     NotHomogeneous,
     NotInKernel,
     ProductTerm,
+    _standard_columns,
     decompose,
     enumerate_products,
     expand,
@@ -24,8 +25,9 @@ from weitzlab.products import (
     verify_component,
 )
 from weitzlab.report import enumerate_multidegrees
+from weitzlab.tableaux import kostka_numbers
 
-from oracles import products_oracle, random_rational, span_dim_of_polys
+from oracles import is_standard_product, products_oracle, random_rational, span_dim_of_polys
 
 
 def test_make_u_examples():
@@ -180,6 +182,33 @@ def test_decompose_untouched_coefficient_is_a_violation(monkeypatch):
         products._component_solver.cache_clear()
 
 
+def test_decompose_shared_lead_is_an_assertion(monkeypatch):
+    # with u12 expanding to x1*x2, both products of (1, 1) lead at x1*x2
+    monkeypatch.setattr(products, "_times_u", lambda column, si, sj: dict(column))
+    products._component_solver.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"^products x1\*x2 and u12 share a lead$"):
+            decompose(make_u(2, 1, 2))
+    finally:
+        products._component_solver.cache_clear()
+
+
+def test_decompose_checks_standard_products_are_constants(monkeypatch):
+    # keeping only the positive term of column * u12 leaves x1*y2 alone
+    real = products._times_u
+
+    def corrupt(column, si, sj):
+        return {pos: c for pos, c in real(column, si, sj).items() if c > 0}
+
+    monkeypatch.setattr(products, "_times_u", corrupt)
+    products._component_solver.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"^product u12 is not a constant$"):
+            decompose(make_u(2, 1, 2))
+    finally:
+        products._component_solver.cache_clear()
+
+
 def test_decompose_success_never_computes_delta(monkeypatch):
     def refuse(f):
         raise AssertionError("delta called on the success path")
@@ -196,9 +225,9 @@ def test_decompose_success_never_computes_delta(monkeypatch):
 
 
 def test_decompose_certificate_prefers_early_products():
-    # x1*x3*u23 - x2*x3*u13 + x3^2*u12 = 0, so the certificate of
-    # x3^2*u12 can avoid the late product entirely; echelon preference
-    # keeps the support on the earliest independent columns
+    # x3^2*u12 is not standard (x3 lies above b = 2), and by
+    # x1*x3*u23 - x2*x3*u13 + x3^2*u12 = 0 its certificate sits on the
+    # two standard products, which come earlier in enumeration order
     d = 3
     f = expand(ProductTerm((0, 0, 2), (1, 0, 0)))  # x3^2*u12
     cert = decompose(f)
@@ -208,6 +237,38 @@ def test_decompose_certificate_prefers_early_products():
     assert rebuilt == f
     labels = sorted(t.label() for t in cert)
     assert labels == ["x1*x3*u23", "x2*x3*u13"]
+
+
+TRIANGULAR_TIERS = ((3, 14), (4, 10), (6, 9), (8, 10))
+
+
+def test_standard_products_are_triangular():
+    # standard monomial theory: as many standard products as two-row
+    # tableaux, each leading with coefficient +-1 at a position of its
+    # own; the y_i-weighted order picks the same leads as position order
+    for d, bound in TRIANGULAR_TIERS:
+        contents = {component_content(d, n) for n in enumerate_multidegrees(d, bound)}
+        for c in sorted(contents):
+            k = len(c)
+            ys = product(*(range(e + 1) for e in c))
+            weights = [sum(e * (k - i) for i, e in enumerate(b)) for b in ys]
+            columns = [column for _, _, column in _standard_columns(k, c)]
+            assert len(columns) == sum(kostka_numbers(c)), c
+            leads = [max(column) for column in columns]
+            assert len(set(leads)) == len(leads), c
+            assert all(column[lead] in (1, -1) for lead, column in zip(leads, columns)), c
+            weighted = [max(column, key=lambda pos: (weights[pos], pos)) for column in columns]
+            assert weighted == leads, c
+
+
+def test_standard_products_are_their_own_certificates():
+    for d in range(1, 5):
+        for n in enumerate_multidegrees(d, 6):
+            standard = [t for t in enumerate_products(d, n) if is_standard_product(t)]
+            walked = {ProductTerm(p, q) for q, p, _ in _standard_columns(d, n)}
+            assert set(standard) == walked, n
+            for t in standard:
+                assert decompose(expand(t)) == {t: 1}, t.label()
 
 
 def test_verify_component_examples():
