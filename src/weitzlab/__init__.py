@@ -49,15 +49,27 @@ from .tableaux import (
     standard_tableaux,
     two_row_partitions,
 )
-from .tensor import (
-    PairingPlan,
-    TensorElement,
-    delta_tensor,
-    place_permutation,
-    project_to_polynomial,
-    special_hwv,
-    standard_hwv_basis,
+
+# Only crosscheck runs the tensor engine, so its names load on first use
+# (PEP 562) and `import weitzlab` leaves weitzlab.tensor unimported.
+_TENSOR_NAMES = (
+    "PairingPlan",
+    "TensorElement",
+    "delta_tensor",
+    "place_permutation",
+    "project_to_polynomial",
+    "special_hwv",
+    "standard_hwv_basis",
 )
+
+
+def __getattr__(name: str):
+    if name in _TENSOR_NAMES:
+        from . import tensor
+
+        return getattr(tensor, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -100,11 +112,5 @@ __all__ = [
     "standard_tableau_count",
     "standard_tableaux",
     "two_row_partitions",
-    "PairingPlan",
-    "TensorElement",
-    "delta_tensor",
-    "place_permutation",
-    "project_to_polynomial",
-    "special_hwv",
-    "standard_hwv_basis",
+    *_TENSOR_NAMES,
 ]

@@ -26,6 +26,7 @@ from .poly import Polynomial, component_basis, component_strides
 
 __all__ = [
     "delta_table",
+    "DeltaImages",
     "integer_delta",
     "delta_matrix",
     "kernel_blocks",
@@ -51,6 +52,27 @@ def delta_table(
         weights.append(sum(b))
         images.append([(pos - s, e) for s, e in zip(strides, b) if e])
     return weights, images
+
+
+class DeltaImages(dict):
+    """delta_table(d, n)'s images, each built on its first lookup.
+
+    images[pos] decodes b_i = (pos // stride_i) % (n_i + 1) and is the
+    same list delta_table gives, so a caller that touches few positions
+    of a large component never builds the rest.
+    """
+
+    __slots__ = ("_radix",)
+
+    def __init__(self, d: int, n: tuple[int, ...]):
+        super().__init__()
+        self._radix = tuple(zip(component_strides(d, n), (k + 1 for k in n)))
+
+    def __missing__(self, pos: int) -> list[tuple[int, int]]:
+        image = self[pos] = [
+            (pos - s, e) for s, r in self._radix if (e := pos // s % r)
+        ]
+        return image
 
 
 def integer_delta(

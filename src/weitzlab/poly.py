@@ -1,11 +1,14 @@
 """Sparse exact polynomials in the paired variables x1..xd, y1..yd.
 
 A Polynomial's coefficients are `fractions.Fraction`s; nothing in this
-package ever touches floating point.  A monomial keeps one exponent tuple
-per variable block, so x1*y2^3 in K[X_2, Y_2] is Monomial((1, 0), (0, 3)).
-parse_poly reads the text format without a Fraction per term: it sums
-integer coefficients per exponent tuple, parses each distinct factor
-text once per process, and leaves the conversion to Polynomial.
+package ever touches floating point.  A monomial is a tuple holding the
+x-exponents and then the y-exponents, so x1*y2^3 in K[X_2, Y_2] is
+Monomial((1, 0), (0, 3)), the tuple (1, 0, 0, 3), and dict lookups on
+monomials hash and compare in C.  parse_poly reads the text format
+without a Fraction per term: it sums integer coefficients per monomial,
+parses each distinct factor text once per process, and builds the
+result through Polynomial._of, the constructor that trusts its terms,
+since the grammar already guarantees valid exponents.
 
 Two gradings drive the whole engine:
 
@@ -48,20 +51,30 @@ __all__ = [
 ]
 
 
-class Monomial:
-    """An exponent pair (a, b): x-exponents and y-exponents, one per index."""
+class Monomial(tuple):
+    """x^a y^b, stored flat as the exponent tuple a + b of length 2d.
 
-    __slots__ = ("a", "b")
+    Monomial(a, b) checks its input; a and b are slices of the flat tuple.
+    Being a tuple, a Monomial hashes and tests equal in C, and so it is
+    equal to the plain tuple a + b and finds the same dict entry.  Order,
+    arithmetic and printing are its own: <, <=, > and >= follow sort_key,
+    m1 * m2 adds exponents, and +, or * by anything but a Monomial, raises
+    TypeError rather than concatenating or repeating the tuple.
+    """
 
-    def __init__(self, a: Iterable[int], b: Iterable[int]):
+    __slots__ = ()
+
+    def __new__(cls, a: Iterable[int], b: Iterable[int]) -> "Monomial":
         a = tuple(a)
         b = tuple(b)
         if len(a) != len(b):
             raise ValueError("x and y exponent tuples must have equal length")
         if any(e < 0 for e in a) or any(e < 0 for e in b):
             raise ValueError("exponents must be nonnegative")
-        self.a = a
-        self.b = b
+        return tuple.__new__(cls, a + b)
+
+    def __getnewargs__(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return (self.a, self.b)
 
     @classmethod
     def one(cls, d: int) -> "Monomial":
@@ -78,44 +91,60 @@ class Monomial:
         return cls((0,) * d, tuple(1 if k == i - 1 else 0 for k in range(d)))
 
     @property
+    def a(self) -> tuple[int, ...]:
+        return self[: len(self) // 2]
+
+    @property
+    def b(self) -> tuple[int, ...]:
+        return self[len(self) // 2 :]
+
+    @property
     def d(self) -> int:
-        return len(self.a)
+        return len(self) // 2
 
     @property
     def degree(self) -> int:
-        return sum(self.a) + sum(self.b)
+        return sum(self)
 
     @property
     def is_one(self) -> bool:
-        return self.degree == 0
+        return not any(self)
 
     def multidegree(self) -> tuple[int, ...]:
-        return tuple(map(add, self.a, self.b))
+        d = len(self) // 2
+        return tuple(map(add, self[:d], self[d:]))
 
     def biweight(self) -> tuple[int, int]:
-        return (sum(self.a), sum(self.b))
+        d = len(self) // 2
+        return (sum(self[:d]), sum(self[d:]))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.degree, self.a + self.b)
+        return (sum(self), tuple(self))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.d != other.d:
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        if len(self) != len(other):
             raise ValueError("dimension mismatch")
-        return Monomial(
-            tuple(p + q for p, q in zip(self.a, other.a)),
-            tuple(p + q for p, q in zip(self.b, other.b)),
-        )
+        return _monomial(map(add, self, other))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Monomial) and self.a == other.a and self.b == other.b
-        )
+    def __rmul__(self, other):
+        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
+    def __add__(self, other):
+        return NotImplemented
 
     def __lt__(self, other: "Monomial") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other: "Monomial") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "Monomial") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "Monomial") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def __repr__(self) -> str:
         return f"Monomial({self.a}, {self.b})"
@@ -135,6 +164,11 @@ class Monomial:
         return "*".join(factors) if factors else "1"
 
 
+def _monomial(exponents: Iterable[int]) -> Monomial:
+    """A Monomial on flat exponents a + b that are known to be valid."""
+    return tuple.__new__(Monomial, exponents)
+
+
 def _check_index(i: int, d: int) -> None:
     if not 1 <= i <= d:
         raise ValueError(f"variable index {i} out of range 1..{d}")
@@ -152,7 +186,10 @@ class Polynomial:
     """Finite map from Monomial to nonzero Fraction, all sharing one d.
 
     Values are immutable after construction; every operation returns a new
-    Polynomial in canonical form (no zero coefficients stored).
+    Polynomial in canonical form (no zero coefficients stored).  The public
+    constructor checks every monomial's d and coerces every coefficient;
+    parse_poly and the arithmetic, whose terms are clean by construction,
+    build through Polynomial._of, which checks nothing.
     """
 
     __slots__ = ("d", "_terms")
@@ -170,6 +207,14 @@ class Polynomial:
                     clean[m] = c
         self.d = d
         self._terms = clean
+
+    @classmethod
+    def _of(cls, d: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """A Polynomial that owns terms: Monomials of dimension d, nonzero Fractions."""
+        p = object.__new__(cls)
+        p.d = d
+        p._terms = terms
+        return p
 
     # ---------------------------------------------------------------- constructors
 
@@ -231,7 +276,8 @@ class Polynomial:
 
     def multidegree(self) -> tuple[int, ...] | None:
         """The common multidegree of all terms, or None if mixed or zero."""
-        degrees = {m.multidegree() for m in self._terms}
+        d = self.d
+        degrees = {tuple(map(add, m[:d], m[d:])) for m in self._terms}
         if len(degrees) != 1:
             return None
         return degrees.pop()
@@ -247,7 +293,7 @@ class Polynomial:
         parts: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
         for m, c in self._terms.items():
             parts.setdefault(m.multidegree(), {})[m] = c
-        return {n: Polynomial(self.d, t) for n, t in sorted(parts.items())}
+        return {n: Polynomial._of(self.d, t) for n, t in sorted(parts.items())}
 
     # ---------------------------------------------------------------- arithmetic
 
@@ -265,20 +311,20 @@ class Polynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        return Polynomial(self.d, terms)
+        return Polynomial._of(self.d, terms)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._lift(other))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.d, {m: -c for m, c in self._terms.items()})
+        return Polynomial._of(self.d, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if c == 0:
                 return Polynomial.zero(self.d)
-            return Polynomial(self.d, {m: c * v for m, v in self._terms.items()})
+            return Polynomial._of(self.d, {m: c * v for m, v in self._terms.items()})
         other = self._lift(other)
         self._require_same_d(other)
         terms: dict[Monomial, Fraction] = {}
@@ -290,7 +336,7 @@ class Polynomial:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        return Polynomial(self.d, terms)
+        return Polynomial._of(self.d, terms)
 
     def __rmul__(self, other) -> "Polynomial":
         return self * other
@@ -409,17 +455,18 @@ class PolyParseError(ValueError):
 def parse_poly(text: str, d: int) -> Polynomial:
     """Parse the textual polynomial format; inverse of format_poly.
 
-    Coefficients accumulate as ints per exponent tuple; a Fraction is built
-    only for a coefficient written with '/', and Polynomial turns the sums
-    into Fractions once per distinct monomial.  Each factor text such as
-    'x3^5' is parsed once per process (the _FACTORS memo, bounded by the
-    number of distinct factor texts), and its index is checked against d
-    on every use because d varies between calls.
+    Coefficients accumulate as ints per monomial; a Fraction is built only
+    for a coefficient written with '/', and the sums become Fractions once
+    per distinct monomial.  Each factor text such as 'x3^5' is parsed once
+    per process (the _FACTORS memo, bounded by the number of distinct
+    factor texts), and its index is checked against d on every use because
+    d varies between calls.  The grammar admits only indices in 1..d and
+    exponents of at least 1, so the result is built unchecked.
     """
     s = text.strip()
     if not s:
         raise PolyParseError("empty input")
-    terms: dict[tuple[int, ...], int | Fraction] = {}
+    terms: dict[Monomial, int | Fraction] = {}
     sign = 1
     expect_term = True
     for chunk in _CHUNK_RE.findall(s):
@@ -452,7 +499,7 @@ def parse_poly(text: str, d: int) -> Polynomial:
                 raise PolyParseError(f"index out of range 1..{d} in {part!r}")
             ab[block * d + idx - 1] += e
         if coef:
-            key = tuple(ab)
+            key = _monomial(ab)
             acc = terms.get(key, 0) + sign * coef
             if acc:
                 terms[key] = acc
@@ -462,7 +509,7 @@ def parse_poly(text: str, d: int) -> Polynomial:
         expect_term = False
     if expect_term:
         raise PolyParseError("dangling operator")
-    return Polynomial(d, {Monomial(ab[:d], ab[d:]): c for ab, c in terms.items()})
+    return Polynomial._of(d, {m: Fraction(c) for m, c in terms.items()})
 
 
 def _parse_factor(part: str) -> tuple[int, int, int]:

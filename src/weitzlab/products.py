@@ -43,7 +43,7 @@ from typing import Iterator
 
 from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
-from .kernel import delta_table, integer_delta, kernel_blocks
+from .kernel import DeltaImages, delta_table, integer_delta, kernel_blocks
 from .linalg import integer_rank
 from .poly import (
     Polynomial,
@@ -289,10 +289,12 @@ def _standard_columns(d: int, c: tuple[int, ...]) -> list[tuple]:
     smallest b used.  The walk places the letters d, d-1, ..., 1 in turn:
     k copies of l go into row 2, under the first row-1 cells not yet
     covered (one u factor each), and the rest of the copies extend row 1.
-    Products with the same choices so far share that part of the column.
+    Products with the same choices so far share that part of the column,
+    and the constancy check builds the delta image of a position only
+    when a column first touches it (kernel.DeltaImages).
     """
     strides = component_strides(d, c)
-    _, images = delta_table(d, c)
+    images = DeltaImages(d, c)
     slot = {pair: k for k, pair in enumerate(pair_order(d))}
     q = [0] * len(slot)
     out = []
@@ -318,6 +320,7 @@ def _standard_columns(d: int, c: tuple[int, ...]) -> list[tuple]:
             q[slot[l, b]] -= 1
 
     place(d, [], 0, {0: 1})
+    del place  # the closure refers to itself; free its cells now, not at the next gc
     return out
 
 
@@ -361,11 +364,12 @@ def _certificate(f: Polynomial, n: tuple[int, ...]) -> dict | None:
     lies below its lead, is subtracted.  A position that leads no
     product means f is outside the span.
     """
-    strides, c, index, slots = _coordinates(f.d, n)
+    d = f.d
+    strides, c, index, slots, names = _coordinates(d, n)
     terms = list(f.terms())
     den = lcm(*[v.denominator for _, v in terms])
     residual = {
-        sum(map(mul, m.b, strides)): v.numerator * (den // v.denominator)
+        sum(map(mul, m[d:], strides)): v.numerator * (den // v.denominator)
         for m, v in terms
     }
     table = _component_solver(len(c), c)
@@ -382,7 +386,7 @@ def _certificate(f: Polynomial, n: tuple[int, ...]) -> dict | None:
             return None
         q, p, sign, rest = entry
         value *= sign
-        support.append((q, p, value))
+        support.append((q, p, lead, value))
         for pos, e in rest:
             if pos in residual:
                 residual[pos] -= value * e
@@ -390,29 +394,31 @@ def _certificate(f: Polynomial, n: tuple[int, ...]) -> dict | None:
                 residual[pos] = -value * e
                 heappush(heap, -pos)
     support.sort()
-    if len(c) < f.d:  # content indices back to those of n
-        npairs = f.d * (f.d - 1) // 2
-        support = [
-            (_spread(q, slots, npairs), _spread(p, index, f.d), value)
-            for q, p, value in support
-        ]
-    return {ProductTerm(p, q): Fraction(value, den) for q, p, value in support}
+    certificate = {}
+    for q, p, lead, value in support:
+        term = names.get(lead)
+        if term is None:  # content indices back to those of n
+            p_n, q_n = _spread(p, index, d), _spread(q, slots, d * (d - 1) // 2)
+            term = names[lead] = ProductTerm(p_n, q_n)
+        certificate[term] = Fraction(value, den)
+    return certificate
 
 
 @lru_cache(maxsize=None)
 def _coordinates(d: int, n: tuple[int, ...]) -> tuple:
-    """(strides, content, index, slots) of component n, checked once.
+    """(strides, content, index, slots, names) of component n, checked once.
 
     index[i] is where content index i + 1 sits in n (0-based), and
     slots[k] where the k-th pair of pair_order(len(content)) sits in
-    pair_order(d).
+    pair_order(d).  names maps a lead of the content's solver table to
+    its standard product in the indices of n, each built on first use.
     """
     strides = component_strides(d, n)
     c = component_content(d, n)
     index = [i for i, k in enumerate(n) if k]
     slot = {pair: k for k, pair in enumerate(pair_order(d))}
     slots = [slot[index[i - 1] + 1, index[j - 1] + 1] for i, j in pair_order(len(c))]
-    return strides, c, index, slots
+    return strides, c, index, slots, {}
 
 
 def _spread(values: tuple[int, ...], at: list[int], size: int) -> tuple[int, ...]:

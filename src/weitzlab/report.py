@@ -9,8 +9,6 @@ first, then tuple order), which keeps reports comparable across machines.
 
 from __future__ import annotations
 
-import concurrent.futures
-import csv
 import hashlib
 import io
 import json
@@ -23,13 +21,6 @@ from .kernel import kernel_basis
 from .linalg import integer_rank, primitive_integer_vector
 from .products import ComponentReport, verify_component
 from .tableaux import standard_tableau_count, two_row_partitions
-from .tensor import (
-    delta_tensor,
-    element_y_coordinates,
-    hwv_space_dimension,
-    project_to_polynomial,
-    standard_hwv_basis,
-)
 
 SCHEMA_VERSION = 1
 
@@ -147,6 +138,8 @@ class SweepReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         rows = self.to_dict()["components"]
         if self.kind == "verify":
@@ -196,6 +189,8 @@ def run_verify_sweep(config: SweepConfig) -> SweepReport:
     )
     jobs = [(config.d, n) for n in degrees]
     if config.parallelism > 1 and len(jobs) > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=config.parallelism
         ) as pool:
@@ -214,6 +209,14 @@ def run_verify_sweep(config: SweepConfig) -> SweepReport:
 
 def _crosscheck_component(d: int, n: tuple[int, ...]) -> dict:
     """Audit one content: tableau counts vs ranks, equivariance, ladders."""
+    from .tensor import (
+        delta_tensor,
+        element_y_coordinates,
+        hwv_space_dimension,
+        project_to_polynomial,
+        standard_hwv_basis,
+    )
+
     start = time.perf_counter()
     total = sum(n)
     checks = []

@@ -1,11 +1,15 @@
 """Command line contract: flags, exit codes, report shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 from click.testing import CliRunner
 
+import weitzlab
 from weitzlab.cli import main
 from weitzlab.report import (
     SweepConfig,
@@ -99,6 +103,28 @@ def test_verify_parallelism_env_default(runner, monkeypatch):
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["config"]["parallelism"] == 2
+
+
+def test_import_loads_only_what_commands_share():
+    # crosscheck, the pool and CSV output import these on first use
+    code = (
+        "import sys, weitzlab\n"
+        "lazy = ['weitzlab.tensor', 'concurrent.futures', 'logging', 'csv']\n"
+        "loaded = [m for m in lazy if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "missing = [n for n in weitzlab.__all__ if getattr(weitzlab, n, None) is None]\n"
+        "assert not missing, missing\n"
+        "assert 'weitzlab.tensor' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(weitzlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_report_determinism_after_timing_strip():

@@ -21,7 +21,7 @@ import pytest
 
 from weitzlab import kernel, products
 from weitzlab.derivation import delta
-from weitzlab.kernel import delta_table, kernel_basis, kernel_blocks
+from weitzlab.kernel import DeltaImages, delta_table, kernel_basis, kernel_blocks
 from weitzlab.linalg import LinearSolver
 from weitzlab.poly import Polynomial, component_basis, component_content, component_strides
 from weitzlab.products import (
@@ -68,6 +68,16 @@ def test_integer_delta_matches_derivation():
             assert weights[pos] == sum(m.b)
             image = delta(Polynomial.from_monomial(m))
             assert dict(images[pos]) == as_column(image, d, n)
+
+
+def test_lazy_delta_images_match_delta_table():
+    for d in range(1, 5):
+        for n in enumerate_multidegrees(d, 6):
+            _, images = delta_table(d, n)
+            lazy = DeltaImages(d, n)
+            for pos in reversed(range(len(images))):  # any order of first use
+                assert lazy[pos] == images[pos], (n, pos)
+            assert len(lazy) == len(images)
 
 
 def test_span_rank_matches_standard_count():

@@ -1,5 +1,7 @@
 """Polynomial data model: arithmetic, gradings, component bases, text format."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -64,6 +66,78 @@ def test_dimension_mismatch_rejected():
         Polynomial.x(1, 1) * Polynomial.x(1, 2)
     with pytest.raises(ValueError):
         Polynomial.x(1, 1) + Polynomial.x(1, 2)
+
+
+def test_monomial_is_its_flat_exponent_tuple():
+    m = Monomial((1, 0), (0, 3))
+    assert m == (1, 0, 0, 3) and hash(m) == hash((1, 0, 0, 3))
+    assert {m: 5}[(1, 0, 0, 3)] == 5
+    assert (m.a, m.b, m.d) == ((1, 0), (0, 3), 2)
+    assert repr(m) == "Monomial((1, 0), (0, 3))" and str(m) == "x1*y2^3"
+    assert type(m.sort_key()[1]) is tuple
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Monomial((1, 0, 2), (0, 3, 1)),
+        Monomial.one(2),
+        parse_poly("3/2*x1^2*y2 - y1 + 4", 2),
+        Polynomial.zero(3),
+    ],
+)
+def test_pickle_and_copy_round_trip(value):
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in copies:
+        assert type(twin) is type(value)
+        assert twin == value
+        if isinstance(value, Polynomial):
+            assert twin.d == value.d
+            assert all(type(m) is Monomial for m, _ in twin.terms())
+
+
+def test_monomial_rejects_tuple_arithmetic():
+    m = Monomial((1, 0), (0, 2))
+    for op in (lambda: 2 * m, lambda: m * 2, lambda: m + m):
+        with pytest.raises(TypeError):
+            op()
+    assert m * m == Monomial((2, 0), (0, 4))
+    assert type(m * m) is Monomial
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        m * Monomial.one(1)
+
+
+def test_monomial_comparisons_follow_sort_key():
+    rng = random.Random(3)
+    monomials = [
+        Monomial([rng.randint(0, 2) for _ in range(3)], [rng.randint(0, 2) for _ in range(3)])
+        for _ in range(60)
+    ]
+    for m1 in monomials:
+        for m2 in monomials:
+            k1, k2 = m1.sort_key(), m2.sort_key()
+            assert (m1 < m2, m1 <= m2, m1 > m2, m1 >= m2) == (
+                k1 < k2,
+                k1 <= k2,
+                k1 > k2,
+                k1 >= k2,
+            )
+    assert sorted(monomials) == sorted(monomials, key=Monomial.sort_key)
+
+
+def test_constructors_reject_bad_input_with_their_messages():
+    with pytest.raises(ValueError, match="^x and y exponent tuples must have equal length$"):
+        Monomial((1,), (1, 2))
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        Monomial((1, 0), (-1, 0))
+    with pytest.raises(ValueError, match="^monomial dimension mismatch$"):
+        Polynomial(2, {Monomial((1,), (0,)): 1})
+    with pytest.raises(TypeError, match="^coefficient must be an int or Fraction, got float$"):
+        Polynomial(1, {Monomial((1,), (0,)): 1.5})
 
 
 def test_multidegree_examples():
