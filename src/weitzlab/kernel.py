@@ -13,6 +13,13 @@ poly.component_strides): delta sends x^a y^b to sum_i b_i x^(a+e_i)
 y^(b-e_i), which in component order is the entry b_i at position
 pos - stride_i.  kernel_basis only turns the integer vectors into
 Polynomials at the end.
+
+A weight-q block sees each exponent only through min(n_i, q): its
+positions are the b with sum(b) = q and b_i <= min(n_i, q), in lex
+order, its target block is the same with q - 1, and delta's entries are
+the b_i.  block_key(n, q) is therefore an exact key for the integer
+matrix, zero exponents dropped as in poly.component_content, and
+kernel_blocks eliminates each distinct key once per process.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "DeltaImages",
     "integer_delta",
     "delta_matrix",
+    "block_key",
     "kernel_blocks",
     "KernelBasis",
     "kernel_basis",
@@ -100,36 +108,52 @@ def delta_matrix(d: int, n: tuple[int, ...]) -> list[list[int]]:
     return rows
 
 
+def block_key(n: tuple[int, ...], q: int) -> tuple[int, tuple[int, ...]]:
+    """(q, min(c_i, q) for the content c of n): what fixes n's weight-q blocks."""
+    return q, tuple([k if k < q else q for k in n if k])
+
+
+# Checked kernel vectors of every y-weight block eliminated so far, keyed
+# on (q, content capped at q); see kernel_blocks.
+_BLOCK_KERNELS: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
+
+
 def kernel_blocks(
     d: int, n: tuple[int, ...], table: tuple | None = None
-) -> list[tuple[int, list[int], list[list[int]]]]:
+) -> list[tuple[int, list[int], tuple[tuple[int, ...], ...]]]:
     """Integer kernel of delta on component n, one bi-weight block at a time.
 
     Returns (q, positions, vectors) for every y-weight q whose block has
     a nonzero kernel, q ascending.  positions are the block's basis
-    positions in component order; each vector holds coprime integer
-    coefficients over them with the first nonzero positive, in
-    nullspace order.  Every vector is checked to be a constant.  table
-    is delta_table(d, n) when the caller has built it already.
+    positions in component order; vectors is a tuple of integer tuples
+    over them, coprime with the first nonzero positive, in nullspace
+    order.  Every vector is checked to be a constant.  table is
+    delta_table(d, n) when the caller has built it already.
+
+    A block's vectors are stored on block_key(n, q), which fixes its
+    matrix, once they pass the check; a later block with the same key is
+    not eliminated again.
     """
     weights, images = table or delta_table(d, n)
     blocks: dict[int, list[int]] = {}
-    local = [0] * len(weights)
     for pos, q in enumerate(weights):
-        block = blocks.setdefault(q, [])
-        local[pos] = len(block)
-        block.append(pos)
+        blocks.setdefault(q, []).append(pos)
     out = []
     for q in sorted(blocks):
         source = blocks[q]
-        rows = [[0] * len(source) for _ in blocks.get(q - 1, ())]
-        for j, pos in enumerate(source):
-            for target, e in images[pos]:
-                rows[local[target]][j] = e
-        vectors = integer_nullspace(rows, len(source))
-        for v in vectors:
-            if integer_delta(images, dict(zip(source, v))):
-                raise AssertionError("kernel vector failed the constancy check")
+        key = block_key(n, q)
+        vectors = _BLOCK_KERNELS.get(key)
+        if vectors is None:
+            local = {pos: i for i, pos in enumerate(blocks.get(q - 1, ()))}
+            rows = [[0] * len(source) for _ in local]
+            for j, pos in enumerate(source):
+                for target, e in images[pos]:
+                    rows[local[target]][j] = e
+            vectors = tuple(map(tuple, integer_nullspace(rows, len(source))))
+            for v in vectors:
+                if integer_delta(images, dict(zip(source, v))):
+                    raise AssertionError("kernel vector failed the constancy check")
+            _BLOCK_KERNELS[key] = vectors
         if vectors:
             out.append((q, source, vectors))
     return out

@@ -14,7 +14,7 @@ kernel dimension, the product-span dimension, and the independent tableau
 count, and reports whether all three agree.  It runs on integers indexed
 by component position (poly.component_strides): one iterative walk over
 the u exponents expands every product into an integer column, sharing
-the expansion of common prefixes, and only _product_blocks assembles the
+the expansion of common prefixes, and only _dense_block assembles the
 columns into matrices; no ProductTerm is built on that path.
 
 decompose needs no matrix.  The standard products, one per two-row
@@ -26,7 +26,11 @@ largest position down.
 Both verify_component and decompose key this engine on the component's
 content (poly.component_content): components that differ only by zero
 exponents are the same integers, so each distinct content is computed
-once per process.
+once per process.  One level down, the span rank of a y-weight block is
+kept on kernel.block_key: the products of y-weight q are the pair
+exponents of total q whose index degrees are at most min(c_i, q), so
+blocks with the same key are the same matrix and each distinct one is
+ranked once, while every product column is still expanded and checked.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import Iterator
 
 from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
-from .kernel import DeltaImages, delta_table, integer_delta, kernel_blocks
+from .kernel import DeltaImages, block_key, delta_table, integer_delta, kernel_blocks
 from .linalg import integer_rank
 from .poly import (
     Polynomial,
@@ -234,26 +238,68 @@ class ConjectureViolation(Exception):
     """A kernel element outside the product span; must never be swallowed."""
 
 
-def _product_blocks(
-    d: int, n: tuple[int, ...], table: tuple | None = None
-) -> Iterator[tuple]:
-    """The expansion matrix of all products of a component, split by y-weight.
+def _weight_groups(columns: list[tuple[int, dict[int, int]]]) -> dict[int, list[int]]:
+    """The indices of _product_columns' columns by y-weight, in enumeration order.
 
-    x^p * prod u_ij^q_ij has y-weight sum(q) in every term, so the matrix
-    is block diagonal.  A block is (indices, positions, rows): its products
-    in enumeration order, the positions they touch (ascending) and one
-    fresh dense integer row per position.  Only the span rank reads it;
-    decompose straightens over the standard products instead.
+    x^p * prod u_ij^q_ij has y-weight sum(q) in every term, so the
+    expansion matrix of a component is block diagonal, one block per
+    weight.
     """
-    columns = _product_columns(d, n, table)
     grouped: dict[int, list[int]] = {}
     for k, (weight, _) in enumerate(columns):
         grouped.setdefault(weight, []).append(k)
-    for indices in grouped.values():
-        block = [columns[k][1] for k in indices]
-        positions = sorted({pos for column in block for pos in column})
-        rows = [[column.get(pos, 0) for column in block] for pos in positions]
-        yield indices, positions, rows
+    return grouped
+
+
+def _dense_block(
+    columns: list[tuple[int, dict[int, int]]], indices: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """The columns at indices as (positions, rows).
+
+    positions are those the columns touch, ascending, with one fresh dense
+    integer row each.
+    """
+    block = [columns[k][1] for k in indices]
+    positions = sorted({pos for column in block for pos in column})
+    rows = [[column.get(pos, 0) for column in block] for pos in positions]
+    return positions, rows
+
+
+def _product_blocks(
+    d: int, n: tuple[int, ...], table: tuple | None = None
+) -> Iterator[tuple]:
+    """(q, indices, positions, rows) for every y-weight block of component n.
+
+    indices are the block's products in enumeration order and
+    (positions, rows) its _dense_block.  table is delta_table(d, n) when
+    the caller has built it already.
+    """
+    columns = _product_columns(d, n, table)
+    for q, indices in _weight_groups(columns).items():
+        yield (q, indices, *_dense_block(columns, indices))
+
+
+# Rank of every y-weight product block ranked so far, keyed like
+# kernel._BLOCK_KERNELS; see _span_rank.
+_BLOCK_RANKS: dict[tuple[int, tuple[int, ...]], int] = {}
+
+
+def _span_rank(d: int, n: tuple[int, ...], table: tuple | None = None) -> tuple[int, int]:
+    """(rank, count) of the products of multidegree n, every one checked constant.
+
+    A block's rank is stored on kernel.block_key(n, q), which fixes its
+    matrix, so only a key not ranked before builds dense rows; every
+    column is still expanded and checked.
+    """
+    columns = _product_columns(d, n, table)
+    rank = 0
+    for q, indices in _weight_groups(columns).items():
+        key = block_key(n, q)
+        if key not in _BLOCK_RANKS:
+            _, rows = _dense_block(columns, indices)
+            _BLOCK_RANKS[key] = integer_rank(rows, len(indices))
+        rank += _BLOCK_RANKS[key]
+    return rank, len(columns)
 
 
 def span_dimension(d: int, n: tuple[int, ...], table: tuple | None = None) -> int:
@@ -261,8 +307,7 @@ def span_dimension(d: int, n: tuple[int, ...], table: tuple | None = None) -> in
 
     table is delta_table(d, n) when the caller has built it already.
     """
-    blocks = _product_blocks(d, n, table)
-    return sum(integer_rank(rows, len(ks)) for ks, _, rows in blocks)
+    return _span_rank(d, n, table)[0]
 
 
 def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
@@ -488,10 +533,7 @@ def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
     d = len(c)
     table = delta_table(d, c)
     dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, c, table))
-    dim_span = product_count = 0
-    for ks, _, rows in _product_blocks(d, c, table):
-        dim_span += integer_rank(rows, len(ks))
-        product_count += len(ks)
+    dim_span, product_count = _span_rank(d, c, table)
     return dim_kernel, dim_span, sum(kostka_numbers(c)), product_count
 
 

@@ -8,7 +8,10 @@ straightens over the standard products, must find a certificate exactly
 when the all-product LinearSolver it replaced does.  The
 engine computes each content once, so the integers it builds for a
 multidegree are checked equal to those of its content, and sweep records
-equal to cold recomputations.  The fault-injection tests corrupt one
+equal to cold recomputations.  Kernel vectors and span ranks are kept
+per y-weight block on kernel.block_key, so the block matrices of
+contents that share a key are checked equal, and cold results equal
+warm ones.  The fault-injection tests corrupt one
 column or one kernel vector on cold caches and require the constancy
 side checks to fire with their usual messages.
 """
@@ -18,10 +21,19 @@ from dataclasses import replace
 from operator import mul
 
 import pytest
+from click.testing import CliRunner
 
 from weitzlab import kernel, products
 from weitzlab.derivation import delta
-from weitzlab.kernel import DeltaImages, delta_table, kernel_basis, kernel_blocks
+from weitzlab.cli import main
+from weitzlab.kernel import (
+    DeltaImages,
+    block_key,
+    delta_matrix,
+    delta_table,
+    kernel_basis,
+    kernel_blocks,
+)
 from weitzlab.linalg import LinearSolver
 from weitzlab.poly import Polynomial, component_basis, component_content, component_strides
 from weitzlab.products import (
@@ -40,7 +52,7 @@ from weitzlab.report import SweepConfig, enumerate_multidegrees, run_verify_swee
 from weitzlab.tableaux import kostka_numbers
 
 from oracles import expand_oracle, span_dim_of_polys
-from test_invariants import certificate_inputs
+from test_invariants import certificate_inputs, golden_kernel_runs
 
 COMPONENTS = [(d, n) for d in range(1, 5) for n in enumerate_multidegrees(d, 5)]
 
@@ -91,7 +103,7 @@ def solver_finds_certificate(f, d, n):
     """Is every y-weight block of the all-product system [A | I] consistent at f?"""
     strides = component_strides(d, n)
     values = {sum(map(mul, m.b, strides)): c for m, c in f.terms()}
-    for indices, positions, rows in _product_blocks(d, n):
+    for _, indices, positions, rows in _product_blocks(d, n):
         b = [values.pop(pos, 0) for pos in positions]
         if LinearSolver(rows, len(indices)).solve(b) is None:
             return False
@@ -126,10 +138,18 @@ def test_components_equal_their_content():
         assert kostka_numbers(n) == kostka_numbers(c), n
 
 
+def clear_engine():
+    """Empty every cache of the verify engine, block tables included."""
+    products._content_dimensions.cache_clear()
+    kernel_basis.cache_clear()
+    kernel._BLOCK_KERNELS.clear()
+    products._BLOCK_RANKS.clear()
+
+
 def test_sweep_records_equal_cold_recomputation():
     report = run_verify_sweep(SweepConfig(d=4, max_total_degree=6))
     for record in report.components:
-        products._content_dimensions.cache_clear()
+        clear_engine()
         fresh = verify_component(4, record.n)
         assert replace(record, seconds=0) == replace(fresh, seconds=0)
 
@@ -137,11 +157,9 @@ def test_sweep_records_equal_cold_recomputation():
 @pytest.fixture
 def cold_engine():
     """Empty the engine's caches, so that a corrupted layer actually runs."""
-    products._content_dimensions.cache_clear()
-    kernel_basis.cache_clear()
+    clear_engine()
     yield
-    products._content_dimensions.cache_clear()
-    kernel_basis.cache_clear()
+    clear_engine()
 
 
 def test_corrupted_product_column_fails_verification(monkeypatch, cold_engine):
@@ -156,7 +174,7 @@ def test_corrupted_product_column_fails_verification(monkeypatch, cold_engine):
         verify_component(2, (1, 1))
 
 
-def test_corrupted_kernel_vector_fails_both_routes(monkeypatch, cold_engine):
+def corrupt_nullspace(monkeypatch):
     real = kernel.integer_nullspace
 
     def corrupt(rows, cols):
@@ -164,8 +182,91 @@ def test_corrupted_kernel_vector_fails_both_routes(monkeypatch, cold_engine):
         return [[v[0] + 1] + v[1:] if len(v) > 1 else v for v in vectors]
 
     monkeypatch.setattr(kernel, "integer_nullspace", corrupt)
-    message = r"^kernel vector failed the constancy check$"
-    with pytest.raises(AssertionError, match=message):
+
+
+KERNEL_CHECK = r"^kernel vector failed the constancy check$"
+
+
+def test_corrupted_kernel_vector_fails_both_routes(monkeypatch, cold_engine):
+    corrupt_nullspace(monkeypatch)
+    with pytest.raises(AssertionError, match=KERNEL_CHECK):
         verify_component(2, (1, 1))
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(AssertionError, match=KERNEL_CHECK):
         kernel_basis(2, (1, 1))
+
+
+def test_failed_block_check_stores_nothing(monkeypatch, cold_engine):
+    corrupt_nullspace(monkeypatch)
+    with pytest.raises(AssertionError, match=KERNEL_CHECK):
+        verify_component(2, (1, 1))
+    monkeypatch.undo()
+    report = verify_component(2, (1, 1))
+    assert (report.dim_kernel, report.dim_span, report.dim_tableau_oracle) == (2, 2, 2)
+    assert kernel_blocks(2, (1, 1)) == [(0, [0], ((1,),)), (1, [1, 2], ((1, -1),))]
+
+
+def test_weight_blocks_are_fixed_by_their_key():
+    """Every y-weight block's delta and product matrices depend only on block_key."""
+    boxes = ((2, 12), (3, 8), (4, 7))
+    contents = {component_content(d, n) for d, m in boxes for n in enumerate_multidegrees(d, m)}
+    first = {}
+    shared = 0
+    for c in sorted(contents):
+        d = len(c)
+        weights, _ = delta_table(d, c)
+        matrix = delta_matrix(d, c)
+        by_weight = {}
+        for pos, q in enumerate(weights):
+            by_weight.setdefault(q, []).append(pos)
+        spans = {q: rows for q, _, _, rows in _product_blocks(d, c)}
+        for q, source in by_weight.items():
+            rows = [[matrix[t][s] for s in source] for t in by_weight.get(q - 1, ())]
+            blocks = first.setdefault(block_key(c, q), (rows, spans.get(q)))
+            assert blocks == (rows, spans.get(q)), (c, q)
+            shared += blocks[0] is not rows
+    assert shared > len(first)  # most blocks repeat one seen before
+
+
+def test_content_dimensions_equal_cold_and_warm():
+    contents = sorted({component_content(4, n) for n in enumerate_multidegrees(4, 8)})
+    clear_engine()
+    warm = [products._content_dimensions(c) for c in contents]
+    assert len(kernel._BLOCK_KERNELS) < sum(sum(c) + 1 for c in contents)
+    cold = []
+    for c in contents:
+        clear_engine()
+        cold.append(products._content_dimensions(c))
+    assert cold == warm
+
+
+def types_of(value):
+    if isinstance(value, (list, tuple)):
+        return type(value), [types_of(v) for v in value]
+    return type(value)
+
+
+def test_kernel_blocks_same_cold_and_warm():
+    for d in range(1, 5):
+        for n in enumerate_multidegrees(d, 6):
+            kernel._BLOCK_KERNELS.clear()
+            cold = kernel_blocks(d, n)
+            warm = kernel_blocks(d, n)
+            assert warm == cold and types_of(warm) == types_of(cold), n
+
+
+def test_kernel_blocks_results_cannot_reach_the_table():
+    expected = kernel_blocks(3, (2, 2, 2))
+    blocks = kernel_blocks(3, (2, 2, 2))
+    _, source, vectors = blocks[-1]
+    with pytest.raises(TypeError):
+        vectors[0][0] += 1
+    source.append(0)
+    blocks.clear()
+    assert kernel_blocks(3, (2, 2, 2)) == expected
+
+
+def test_golden_kernel_output_cold_and_warm():
+    for args, expected in golden_kernel_runs():
+        clear_engine()
+        for _ in range(2):  # the second run reads the block table
+            assert CliRunner().invoke(main, args).output == expected

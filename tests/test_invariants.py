@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from weitzlab import products
+from weitzlab import kernel, products
 from weitzlab.cli import main
 from weitzlab.poly import Polynomial
 from weitzlab.products import decompose, enumerate_products, expand
@@ -86,7 +86,10 @@ def test_invariant_digests(d, max_degree, components, digest):
 
 
 def test_pool_sweep_digest():
-    products._content_dimensions.cache_clear()  # a forked worker copies this cache
+    # a forked worker copies these caches
+    products._content_dimensions.cache_clear()
+    products._BLOCK_RANKS.clear()
+    kernel._BLOCK_KERNELS.clear()
     pool = run_verify_sweep(SweepConfig(d=4, max_total_degree=8, parallelism=2))
     serial = run_verify_sweep(SweepConfig(d=4, max_total_degree=8))
     assert pool.to_dict()["content_digest"] == POOL_DIGEST
