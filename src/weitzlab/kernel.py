@@ -19,7 +19,9 @@ positions are the b with sum(b) = q and b_i <= min(n_i, q), in lex
 order, its target block is the same with q - 1, and delta's entries are
 the b_i.  block_key(n, q) is therefore an exact key for the integer
 matrix, zero exponents dropped as in poly.component_content, and
-kernel_blocks eliminates each distinct key once per process.
+kernel_blocks eliminates each distinct key once per process.  Its delta
+images come from a DeltaImages, which builds the image of a position on
+first use, so a block whose key is known builds none.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .linalg import integer_nullspace
 from .poly import Polynomial, component_basis, component_strides
 
 __all__ = [
+    "position_weights",
     "delta_table",
     "DeltaImages",
     "integer_delta",
@@ -41,6 +44,14 @@ __all__ = [
     "KernelBasis",
     "kernel_basis",
 ]
+
+
+def position_weights(n: tuple[int, ...]) -> list[int]:
+    """The y-weight sum(b) of every position of component n, in position order."""
+    weights = [0]
+    for k in n:
+        weights = [w + e for w in weights for e in range(k + 1)]
+    return weights
 
 
 def delta_table(
@@ -53,13 +64,11 @@ def delta_table(
     tuples b in position order, since the last stride is 1.
     """
     strides = component_strides(d, n)
-    weights: list[int] = []
-    images: list[list[tuple[int, int]]] = []
-    for b in product(*(range(k + 1) for k in n)):
-        pos = len(weights)
-        weights.append(sum(b))
-        images.append([(pos - s, e) for s, e in zip(strides, b) if e])
-    return weights, images
+    images = [
+        [(pos - s, e) for s, e in zip(strides, b) if e]
+        for pos, b in enumerate(product(*(range(k + 1) for k in n)))
+    ]
+    return position_weights(n), images
 
 
 class DeltaImages(dict):
@@ -119,7 +128,7 @@ _BLOCK_KERNELS: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] =
 
 
 def kernel_blocks(
-    d: int, n: tuple[int, ...], table: tuple | None = None
+    d: int, n: tuple[int, ...], images: DeltaImages | None = None
 ) -> list[tuple[int, list[int], tuple[tuple[int, ...], ...]]]:
     """Integer kernel of delta on component n, one bi-weight block at a time.
 
@@ -127,24 +136,23 @@ def kernel_blocks(
     a nonzero kernel, q ascending.  positions are the block's basis
     positions in component order; vectors is a tuple of integer tuples
     over them, coprime with the first nonzero positive, in nullspace
-    order.  Every vector is checked to be a constant.  table is
-    delta_table(d, n) when the caller has built it already.
+    order.  Every vector is checked to be a constant.  images is the
+    component's DeltaImages when the caller has one.
 
     A block's vectors are stored on block_key(n, q), which fixes its
     matrix, once they pass the check; a later block with the same key is
-    not eliminated again.
+    not eliminated again, and builds no delta image.
     """
-    weights, images = table or delta_table(d, n)
-    blocks: dict[int, list[int]] = {}
-    for pos, q in enumerate(weights):
-        blocks.setdefault(q, []).append(pos)
+    images = DeltaImages(d, n) if images is None else images
+    blocks: list[list[int]] = [[] for _ in range(sum(n) + 1)]
+    for pos, q in enumerate(position_weights(n)):
+        blocks[q].append(pos)
     out = []
-    for q in sorted(blocks):
-        source = blocks[q]
+    for q, source in enumerate(blocks):
         key = block_key(n, q)
         vectors = _BLOCK_KERNELS.get(key)
         if vectors is None:
-            local = {pos: i for i, pos in enumerate(blocks.get(q - 1, ()))}
+            local = {pos: i for i, pos in enumerate(blocks[q - 1])} if q else {}
             rows = [[0] * len(source) for _ in local]
             for j, pos in enumerate(source):
                 for target, e in images[pos]:

@@ -13,8 +13,8 @@ verify_component is the whole point: for one multidegree it computes the
 kernel dimension, the product-span dimension, and the independent tableau
 count, and reports whether all three agree.  It runs on integers indexed
 by component position (poly.component_strides): one iterative walk over
-the u exponents expands every product into an integer column, sharing
-the expansion of common prefixes, and only _dense_block assembles the
+the u exponents expands products into integer columns, sharing the
+expansion of common prefixes, and only _dense_block assembles the
 columns into matrices; no ProductTerm is built on that path.
 
 decompose needs no matrix.  The standard products, one per two-row
@@ -26,11 +26,13 @@ largest position down.
 Both verify_component and decompose key this engine on the component's
 content (poly.component_content): components that differ only by zero
 exponents are the same integers, so each distinct content is computed
-once per process.  One level down, the span rank of a y-weight block is
-kept on kernel.block_key: the products of y-weight q are the pair
-exponents of total q whose index degrees are at most min(c_i, q), so
-blocks with the same key are the same matrix and each distinct one is
-ranked once, while every product column is still expanded and checked.
+once per process.  One level down, each y-weight block is kept on
+kernel.block_key: the products of y-weight q are the pair exponents of
+total q whose index degrees are at most min(c_i, q), so blocks with the
+same key are the same matrix with the same number of columns.  Each
+distinct block is expanded, checked constant and ranked once per
+process, and a content whose blocks are all known costs one lookup per
+weight, as on the kernel side (kernel.kernel_blocks).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Iterator
 
 from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
-from .kernel import DeltaImages, block_key, delta_table, integer_delta, kernel_blocks
+from .kernel import DeltaImages, block_key, integer_delta, kernel_blocks
 from .linalg import integer_rank
 from .poly import (
     Polynomial,
@@ -131,32 +133,37 @@ class ProductTerm:
         return "*".join(parts) if parts else "1"
 
 
-def _exponent_walk(d: int, n: tuple[int, ...]) -> Iterator[tuple]:
+def _exponent_walk(d: int, n: tuple[int, ...], top: int | None = None) -> Iterator[tuple]:
     """Every product of multidegree n as (level, q, p), p forced by q.
 
     An iterative odometer over pair_order(d), exponents ascending, the
     last pair turning fastest, so the all-x product comes first.  level is
     the pair whose exponent just rose by one, all later ones back at 0
-    (len(q) for the first product); q and p are updated in place.
+    (len(q) for the first product); q and p are updated in place.  With
+    top, no exponent rises once the y-weight sum(q) is top, so the walk
+    yields the products of weight at most top, in the same order.
     """
     if len(n) != d or any(k < 0 for k in n):
         raise ValueError("invalid multidegree")
     pairs = [(i - 1, j - 1) for i, j in pair_order(d)]
     p = list(n)
     q = [0] * len(pairs)
+    room = sum(n) if top is None else top
     yield len(q), q, p
     k = len(q) - 1
     while k >= 0:
         i, j = pairs[k]
-        if p[i] and p[j]:
+        if p[i] and p[j] and room:
             p[i] -= 1
             p[j] -= 1
             q[k] += 1
+            room -= 1
             yield k, q, p
             k = len(q) - 1
         else:
             p[i] += q[k]
             p[j] += q[k]
+            room += q[k]
             q[k] = 0
             k -= 1
 
@@ -181,31 +188,42 @@ def _times_u(column: dict[int, int], si: int, sj: int) -> dict[int, int]:
 
 
 def _product_columns(
-    d: int, n: tuple[int, ...], table: tuple | None = None
+    d: int,
+    n: tuple[int, ...],
+    images: DeltaImages | None = None,
+    weights: set[int] | None = None,
 ) -> list[tuple[int, dict[int, int]]]:
     """(y-weight, column) of every product of multidegree n, each checked constant.
 
     In enumerate_products order.  partial[k + 1] is the product of the u
     factors of pairs 0..k, shared by every product with those exponents:
     when pair k's exponent rises it gains one u_ij factor, and the later
-    levels, back at 0, share it.  table is delta_table(d, n) when the
-    caller has built it already.
+    levels, back at 0, share it.  images is the component's
+    kernel.DeltaImages when the caller has one.  With weights, only the
+    products of those y-weights are checked and kept: the walk stops at
+    the largest, and the products of other weights below it are
+    multiplied out, as prefixes that later products share, but neither
+    checked nor kept.
     """
     strides = component_strides(d, n)
-    _, images = table or delta_table(d, n)
+    images = DeltaImages(d, n) if images is None else images
     pairs = pair_order(d)
     partial = [{0: 1}] * (len(pairs) + 1)
     out = []
-    for k, q, p in _exponent_walk(d, n):
+    top = None if weights is None else max(weights)
+    for k, q, p in _exponent_walk(d, n, top):
         if k < len(pairs):
             i, j = pairs[k]
             column = _times_u(partial[k + 1], strides[i - 1], strides[j - 1])
             partial[k + 1 :] = [column] * (len(pairs) - k)
+        weight = sum(q)
+        if weights is not None and weight not in weights:
+            continue
         column = partial[-1]
         if integer_delta(images, column):
             label = ProductTerm(tuple(p), tuple(q)).label()
             raise AssertionError(f"product {label} is not a constant")
-        out.append((sum(q), column))
+        out.append((weight, column))
     return out
 
 
@@ -238,76 +256,82 @@ class ConjectureViolation(Exception):
     """A kernel element outside the product span; must never be swallowed."""
 
 
-def _weight_groups(columns: list[tuple[int, dict[int, int]]]) -> dict[int, list[int]]:
-    """The indices of _product_columns' columns by y-weight, in enumeration order.
-
-    x^p * prod u_ij^q_ij has y-weight sum(q) in every term, so the
-    expansion matrix of a component is block diagonal, one block per
-    weight.
-    """
-    grouped: dict[int, list[int]] = {}
-    for k, (weight, _) in enumerate(columns):
-        grouped.setdefault(weight, []).append(k)
-    return grouped
-
-
-def _dense_block(
-    columns: list[tuple[int, dict[int, int]]], indices: list[int]
-) -> tuple[list[int], list[list[int]]]:
-    """The columns at indices as (positions, rows).
+def _dense_block(block: list[dict[int, int]]) -> tuple[list[int], list[list[int]]]:
+    """The columns of block as (positions, rows).
 
     positions are those the columns touch, ascending, with one fresh dense
     integer row each.
     """
-    block = [columns[k][1] for k in indices]
     positions = sorted({pos for column in block for pos in column})
     rows = [[column.get(pos, 0) for column in block] for pos in positions]
     return positions, rows
 
 
-def _product_blocks(
-    d: int, n: tuple[int, ...], table: tuple | None = None
-) -> Iterator[tuple]:
+def _product_blocks(d: int, n: tuple[int, ...]) -> Iterator[tuple]:
     """(q, indices, positions, rows) for every y-weight block of component n.
 
-    indices are the block's products in enumeration order and
-    (positions, rows) its _dense_block.  table is delta_table(d, n) when
-    the caller has built it already.
+    x^p * prod u_ij^q_ij has y-weight sum(q) in every term, so the
+    expansion matrix of a component is block diagonal, one block per
+    weight.  indices are the block's products in enumeration order and
+    (positions, rows) its _dense_block.
     """
-    columns = _product_columns(d, n, table)
-    for q, indices in _weight_groups(columns).items():
-        yield (q, indices, *_dense_block(columns, indices))
+    columns = _product_columns(d, n)
+    grouped: dict[int, list[int]] = {}
+    for k, (weight, _) in enumerate(columns):
+        grouped.setdefault(weight, []).append(k)
+    for q, indices in grouped.items():
+        yield (q, indices, *_dense_block([columns[k][1] for k in indices]))
 
 
-# Rank of every y-weight product block ranked so far, keyed like
-# kernel._BLOCK_KERNELS; see _span_rank.
-_BLOCK_RANKS: dict[tuple[int, tuple[int, ...]], int] = {}
+def _top_weight(n: tuple[int, ...]) -> int:
+    """The largest y-weight of a product of multidegree n.
+
+    The pair exponents q form a multigraph on the indices with degree
+    n_i at most, and its largest edge count is min(|n| // 2, |n| - max n);
+    every smaller count is reached by dropping edges.
+    """
+    total = sum(n)
+    return min(total // 2, total - max(n, default=0))
 
 
-def _span_rank(d: int, n: tuple[int, ...], table: tuple | None = None) -> tuple[int, int]:
+# (rank, product count) of every y-weight product block seen so far,
+# keyed like kernel._BLOCK_KERNELS; see _span_rank.
+_BLOCK_SPANS: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+
+
+def _span_rank(
+    d: int, n: tuple[int, ...], images: DeltaImages | None = None
+) -> tuple[int, int]:
     """(rank, count) of the products of multidegree n, every one checked constant.
 
-    A block's rank is stored on kernel.block_key(n, q), which fixes its
-    matrix, so only a key not ranked before builds dense rows; every
-    column is still expanded and checked.
+    The products of y-weight q are the pair exponents of total q whose
+    index degrees are at most min(n_i, q), so kernel.block_key(n, q)
+    fixes both the block's columns and their number.  Only the weights
+    whose key is not in _BLOCK_SPANS are walked, checked and ranked, and
+    their entries are stored once every one of their columns has passed
+    its check.  images is the component's kernel.DeltaImages when the
+    caller has one.
     """
-    columns = _product_columns(d, n, table)
-    rank = 0
-    for q, indices in _weight_groups(columns).items():
-        key = block_key(n, q)
-        if key not in _BLOCK_RANKS:
-            _, rows = _dense_block(columns, indices)
-            _BLOCK_RANKS[key] = integer_rank(rows, len(indices))
-        rank += _BLOCK_RANKS[key]
-    return rank, len(columns)
+    keys = [block_key(n, q) for q in range(_top_weight(n) + 1)]
+    missing = {q for q, key in enumerate(keys) if key not in _BLOCK_SPANS}
+    if missing:
+        blocks: dict[int, list[dict[int, int]]] = {q: [] for q in missing}
+        for q, column in _product_columns(d, n, images, missing):
+            blocks[q].append(column)
+        for q, block in blocks.items():
+            _, rows = _dense_block(block)
+            _BLOCK_SPANS[keys[q]] = integer_rank(rows, len(block)), len(block)
+    rank = count = 0
+    for key in keys:
+        block_rank, block_count = _BLOCK_SPANS[key]
+        rank += block_rank
+        count += block_count
+    return rank, count
 
 
-def span_dimension(d: int, n: tuple[int, ...], table: tuple | None = None) -> int:
-    """Exact rank of the products of multidegree n inside their component.
-
-    table is delta_table(d, n) when the caller has built it already.
-    """
-    return _span_rank(d, n, table)[0]
+def span_dimension(d: int, n: tuple[int, ...]) -> int:
+    """Exact rank of the products of multidegree n inside their component."""
+    return _span_rank(d, n)[0]
 
 
 def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
@@ -529,11 +553,16 @@ class ComponentReport:
 
 @lru_cache(maxsize=None)
 def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(dim_kernel, dim_span, oracle, product_count) of content c, d = len(c)."""
+    """(dim_kernel, dim_span, oracle, product_count) of content c, d = len(c).
+
+    The kernel and span sides share one kernel.DeltaImages, so a delta
+    image is built only for a position of a block eliminated or checked
+    here; a block whose key is in its table costs a lookup.
+    """
     d = len(c)
-    table = delta_table(d, c)
-    dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, c, table))
-    dim_span, product_count = _span_rank(d, c, table)
+    images = DeltaImages(d, c)
+    dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, c, images))
+    dim_span, product_count = _span_rank(d, c, images)
     return dim_kernel, dim_span, sum(kostka_numbers(c)), product_count
 
 
@@ -547,7 +576,10 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     computed once per content c, the nonzero entries of n in dimension
     len(c) (poly.component_content), so a component that shares its
     content with an earlier one costs a lookup, and a failing side check
-    names products by the content's indices.
+    names products by the content's indices.  Below the content, each
+    distinct y-weight block (kernel.block_key) is eliminated, expanded
+    and checked once per process, and its kernel vectors, rank and
+    product count are read back for every later content that has it.
     """
     start = time.perf_counter()
     n = tuple(n)

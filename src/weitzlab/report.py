@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -135,7 +136,23 @@ class SweepReport:
         return body
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """json.dumps(self.to_dict(), indent=2) plus a newline, byte for byte.
+
+        indent selects json's pure-Python encoder, so verify records are
+        written by _record_json instead; the rest of the body, and
+        crosscheck rows, which nest, still go through json.dumps.
+        """
+        body = self.to_dict()
+        if self.rows:
+            return json.dumps(body, indent=2) + "\n"
+        fields = []
+        for key, value in body.items():
+            if key == "components" and value:
+                text = "[\n" + ",\n".join(map(_record_json, self.components)) + "\n  ]"
+            else:
+                text = json.dumps(value, indent=2).replace("\n", "\n  ")
+            fields.append(f"  {json.dumps(key)}: {text}")
+        return "{\n" + ",\n".join(fields) + "\n}\n"
 
     def to_csv(self) -> str:
         import csv
@@ -163,6 +180,25 @@ class SweepReport:
                 flat["checks"] = json.dumps(flat["checks"], sort_keys=True)
             writer.writerow(flat)
         return buf.getvalue()
+
+
+def _float_json(value: float) -> str:
+    """json.dumps(value) for a float: its repr when finite."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _record_json(c: ComponentReport) -> str:
+    """c.to_dict() as json.dumps(indent=2) writes it in the components list."""
+    n = ",\n        ".join(map(str, c.n))  # never empty: SweepConfig.validate keeps d >= 1
+    return (
+        f'    {{\n      "n": [\n        {n}\n      ],\n'
+        f'      "dim_kernel": {c.dim_kernel},\n'
+        f'      "dim_span": {c.dim_span},\n'
+        f'      "dim_tableau_oracle": {c.dim_tableau_oracle},\n'
+        f'      "product_count": {c.product_count},\n'
+        f'      "verdict": {"true" if c.verdict else "false"},\n'
+        f'      "seconds": {_float_json(c.seconds)}\n    }}'
+    )
 
 
 def strip_timing(report: dict) -> dict:

@@ -11,9 +11,10 @@ multidegree are checked equal to those of its content, and sweep records
 equal to cold recomputations.  Kernel vectors and span ranks are kept
 per y-weight block on kernel.block_key, so the block matrices of
 contents that share a key are checked equal, and cold results equal
-warm ones.  The fault-injection tests corrupt one
+warm ones, and a product block whose key is known is not checked
+again.  The fault-injection tests corrupt one
 column or one kernel vector on cold caches and require the constancy
-side checks to fire with their usual messages.
+side checks to fire with their usual messages and store nothing.
 """
 
 import random
@@ -42,6 +43,7 @@ from weitzlab.products import (
     _product_blocks,
     _product_columns,
     _standard_columns,
+    _top_weight,
     decompose,
     enumerate_products,
     expand,
@@ -143,7 +145,7 @@ def clear_engine():
     products._content_dimensions.cache_clear()
     kernel_basis.cache_clear()
     kernel._BLOCK_KERNELS.clear()
-    products._BLOCK_RANKS.clear()
+    products._BLOCK_SPANS.clear()
 
 
 def test_sweep_records_equal_cold_recomputation():
@@ -172,6 +174,10 @@ def test_corrupted_product_column_fails_verification(monkeypatch, cold_engine):
     monkeypatch.setattr(products, "_times_u", corrupt)
     with pytest.raises(AssertionError, match=r"^product u12 is not a constant$"):
         verify_component(2, (1, 1))
+    assert products._BLOCK_SPANS == {}
+    monkeypatch.undo()
+    report = verify_component(2, (1, 1))
+    assert (report.dim_kernel, report.dim_span, report.dim_tableau_oracle) == (2, 2, 2)
 
 
 def corrupt_nullspace(monkeypatch):
@@ -232,11 +238,36 @@ def test_content_dimensions_equal_cold_and_warm():
     clear_engine()
     warm = [products._content_dimensions(c) for c in contents]
     assert len(kernel._BLOCK_KERNELS) < sum(sum(c) + 1 for c in contents)
+    assert len(products._BLOCK_SPANS) < sum(_top_weight(c) + 1 for c in contents)
     cold = []
     for c in contents:
         clear_engine()
         cold.append(products._content_dimensions(c))
     assert cold == warm
+
+
+def test_top_weight_is_the_largest_product_weight():
+    for d in range(1, 6):
+        for n in enumerate_multidegrees(d, 7 if d < 5 else 5):
+            weights = {sum(t.q) for t in enumerate_products(d, n)}
+            assert weights == set(range(_top_weight(n) + 1)), n
+
+
+def test_span_blocks_in_the_table_are_not_checked_again(monkeypatch, cold_engine):
+    expected = [products._span_rank(2, c) for c in ((3, 5), (4, 4))]
+    clear_engine()
+    products._span_rank(2, (3, 3))  # stores the blocks of (3, 5), all but u12^4 of (4, 4)
+    checked = []
+
+    def count_checks(images, column):
+        checked.append(column)
+        return {}
+
+    monkeypatch.setattr(products, "integer_delta", count_checks)
+    assert products._span_rank(2, (3, 5)) == expected[0]
+    assert checked == []
+    assert products._span_rank(2, (4, 4)) == expected[1]
+    assert len(checked) == 1  # u12^4, the one product of weight 4
 
 
 def types_of(value):

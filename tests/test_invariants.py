@@ -16,12 +16,16 @@ certificate digest, were re-recorded when decompose moved to the
 standard products, where the certificate is unique.  Each golden block
 is the command line, with its standard input as a here-string after
 `<<<`, followed by its output.  The certificate digest pins which
-certificate is returned, not only that it re-expands.
+certificate is returned, not only that it re-expands.  Verify reports
+are written without json's indenting encoder, so their bytes are
+checked against json.dumps(indent=2) on the invariant tiers.
 """
 
 import hashlib
+import json
 import random
 import shlex
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +38,7 @@ from weitzlab.poly import Polynomial
 from weitzlab.products import decompose, enumerate_products, expand
 from weitzlab.report import (
     SweepConfig,
+    SweepReport,
     enumerate_multidegrees,
     run_crosscheck,
     run_verify_sweep,
@@ -88,7 +93,7 @@ def test_invariant_digests(d, max_degree, components, digest):
 def test_pool_sweep_digest():
     # a forked worker copies these caches
     products._content_dimensions.cache_clear()
-    products._BLOCK_RANKS.clear()
+    products._BLOCK_SPANS.clear()
     kernel._BLOCK_KERNELS.clear()
     pool = run_verify_sweep(SweepConfig(d=4, max_total_degree=8, parallelism=2))
     serial = run_verify_sweep(SweepConfig(d=4, max_total_degree=8))
@@ -96,6 +101,21 @@ def test_pool_sweep_digest():
     assert strip_timing(pool.to_dict())["components"] == strip_timing(
         serial.to_dict()
     )["components"]
+
+
+def test_to_json_writes_the_bytes_of_json_dumps():
+    """to_json writes verify records itself; json.dumps(indent=2) is the reference."""
+    reports = [
+        run_verify_sweep(SweepConfig(d=d, max_total_degree=m)) for d, m, _, _ in INVARIANTS[:-1]
+    ]
+    small = reports[0]
+    odd = (1e-05, 2.5e-07, 1e16, 0.0, 123.0, float("inf"), float("nan"))
+    timed = [replace(c, seconds=t) for c, t in zip(small.components, odd)]
+    reports.append(replace(small, components=timed, total_seconds=3e-06))
+    reports.append(SweepReport(config=SweepConfig(d=2), components=[], total_seconds=1e-05))
+    reports.append(run_crosscheck(SweepConfig(d=2, tensor_crosscheck_limit=3)))
+    for report in reports:
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("args,expected", golden_kernel_runs())
