@@ -22,6 +22,26 @@ matrix, zero exponents dropped as in poly.component_content, and
 kernel_blocks eliminates each distinct key once per process.  Its delta
 images come from a DeltaImages, which builds the image of a position on
 first use, so a block whose key is known builds none.
+
+Above the middle weight (2q > |n|) the key (q, min(n_i, q)) belongs to
+one content only.  There a block is read in the divided-power basis
+m_a = x^a y^b / (a! b!), b = n - a, where
+
+    delta(m_a) = sum_i (a_i + 1) m_(a + e_i)    (terms with a_i = n_i drop),
+
+so its positions are the a with sum(a) = p = |n| - q and
+a_i <= min(n_i, p), in the same component order, and the entry a_i + 1
+sits wherever a_i + 1 <= min(n_i, p + 1): x_weight_key(n, q), the
+x-weight p and min(n_i, p + 1), fixes the matrix whatever the y-side
+caps, and many contents share it.  The divided-power matrix is the
+monomial one with row t scaled by a_t! b_t! and column s by
+1 / (a_s! b_s!), both positive.  Nonzero column and row scalings keep
+which columns depend on the ones before them, hence the rank, the pivot
+columns and the order of the echelon nullspace vectors; each vector
+changes by the column scaling alone, so mapped back and made primitive
+it is exactly the monomial basis's vector.  A cold d=2 |n|<=18 sweep
+eliminates 183 distinct blocks among 2,281 (699 on block_key alone),
+and a cold d=4 |n|<=8 sweep 365 among 1,249 (678).
 """
 
 from __future__ import annotations
@@ -29,6 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import comb, gcd, prod
+from operator import mul
 
 from .linalg import integer_nullspace
 from .poly import Polynomial, component_basis, component_strides
@@ -40,6 +62,7 @@ __all__ = [
     "integer_delta",
     "delta_matrix",
     "block_key",
+    "x_weight_key",
     "kernel_blocks",
     "KernelBasis",
     "kernel_basis",
@@ -122,9 +145,63 @@ def block_key(n: tuple[int, ...], q: int) -> tuple[int, tuple[int, ...]]:
     return q, tuple([k if k < q else q for k in n if k])
 
 
+def x_weight_key(n: tuple[int, ...], q: int) -> tuple[str, int, tuple[int, ...]]:
+    """("x", p, min(c_i, p + 1)) with p = |n| - q: what fixes the divided-power block.
+
+    The "x" tag keeps it apart from block_key's pairs in one table.
+    """
+    p = sum(n) - q
+    return "x", p, tuple([k if k <= p else p + 1 for k in n if k])
+
+
+def _block_rows(
+    images: DeltaImages,
+    source: list[int],
+    target: list[int],
+    radix: tuple[tuple[int, int], ...] | None = None,
+) -> list[list[int]]:
+    """delta from the positions source to the positions target, as dense rows.
+
+    An entry is the monomial basis's b_i, or, given the component's radix
+    pairs (stride_i, n_i + 1), the divided-power basis's
+    a_i + 1 = n_i - b_i + 1.
+    """
+    tops = None if radix is None else {s: r for s, r in radix if r > 1}
+    local = {pos: i for i, pos in enumerate(target)}
+    rows = [[0] * len(source) for _ in target]
+    for j, pos in enumerate(source):
+        for t, e in images[pos]:
+            rows[local[t]][j] = e if tops is None else tops[pos - t] - e
+    return rows
+
+
+def _from_divided(
+    vectors: tuple[tuple[int, ...], ...],
+    source: list[int],
+    radix: tuple[tuple[int, int], ...],
+) -> tuple[tuple[int, ...], ...]:
+    """Divided-power kernel vectors over source in the monomial basis.
+
+    m_a = x^a y^b / (a! b!) is prod C(n_i, b_i) / prod n_i! times the
+    monomial, so each coordinate is scaled by prod C(n_i, b_i) (radix
+    pairs (stride_i, n_i + 1) decode b) and the vector made primitive;
+    the scale is positive, so the first nonzero entry stays positive.
+    """
+    if not vectors:
+        return vectors
+    scale = [prod([comb(r - 1, pos // s % r) for s, r in radix]) for pos in source]
+    out = []
+    for v in vectors:
+        w = list(map(mul, v, scale))
+        g = gcd(*w)
+        out.append(tuple([e // g for e in w]))
+    return tuple(out)
+
+
 # Checked kernel vectors of every y-weight block eliminated so far, keyed
-# on (q, content capped at q); see kernel_blocks.
-_BLOCK_KERNELS: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
+# on block_key, or on x_weight_key in the divided-power basis; see
+# kernel_blocks.
+_BLOCK_KERNELS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
 def kernel_blocks(
@@ -139,30 +216,40 @@ def kernel_blocks(
     order.  Every vector is checked to be a constant.  images is the
     component's DeltaImages when the caller has one.
 
-    A block's vectors are stored on block_key(n, q), which fixes its
-    matrix, once they pass the check; a later block with the same key is
-    not eliminated again, and builds no delta image.
+    A block at or below the middle (2q <= |n|) is eliminated on its
+    monomial matrix and stored on block_key(n, q).  A block above it is
+    eliminated on its divided-power matrix (see the module docstring),
+    stored on x_weight_key(n, q) in divided-power coordinates, and mapped
+    back by _from_divided for every component that reads it, which gives
+    exactly the monomial vectors.  Upper blocks have no kernel (a
+    constant's x-weight is at least its y-weight), but they are
+    eliminated all the same: that is part of what the Kostka oracle is
+    checked against.  A block's entry is stored only once its monomial
+    vectors pass the check; a later block with the same key is not
+    eliminated again, and builds no delta image.
     """
     images = DeltaImages(d, n) if images is None else images
-    blocks: list[list[int]] = [[] for _ in range(sum(n) + 1)]
+    radix = images._radix
+    total = sum(n)
+    blocks: list[list[int]] = [[] for _ in range(total + 1)]
     for pos, q in enumerate(position_weights(n)):
         blocks[q].append(pos)
     out = []
     for q, source in enumerate(blocks):
-        key = block_key(n, q)
+        upper = 2 * q > total
+        key = x_weight_key(n, q) if upper else block_key(n, q)
         vectors = _BLOCK_KERNELS.get(key)
         if vectors is None:
-            local = {pos: i for i, pos in enumerate(blocks[q - 1])} if q else {}
-            rows = [[0] * len(source) for _ in local]
-            for j, pos in enumerate(source):
-                for target, e in images[pos]:
-                    rows[local[target]][j] = e
+            target = blocks[q - 1] if q else []
+            rows = _block_rows(images, source, target, radix if upper else None)
             vectors = tuple(map(tuple, integer_nullspace(rows, len(source))))
-            for v in vectors:
+            for v in _from_divided(vectors, source, radix) if upper else vectors:
                 if integer_delta(images, dict(zip(source, v))):
                     raise AssertionError("kernel vector failed the constancy check")
             _BLOCK_KERNELS[key] = vectors
         if vectors:
+            if upper:
+                vectors = _from_divided(vectors, source, radix)
             out.append((q, source, vectors))
     return out
 

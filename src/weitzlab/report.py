@@ -115,24 +115,33 @@ class SweepReport:
         return sum(1 for r in self.components if not r.verdict)
 
     def to_dict(self) -> dict:
+        if self.rows:
+            records = self.rows
+            untimed = [strip_timing(r) for r in self.rows]
+        else:  # one dict per record, digested without its seconds, which go back in after
+            records = untimed = [c.to_dict() for c in self.components]
+            for record in records:
+                del record["seconds"]
         body = {
             "schema_version": SCHEMA_VERSION,
             "tool": "weitzlab",
             "tool_version": __version__,
             "kind": self.kind,
             "config": self.config.to_dict(),
-            "components": (
-                self.rows if self.rows else [c.to_dict() for c in self.components]
-            ),
+            "components": records,
             "aggregate": {
                 "components_checked": len(self.rows or self.components),
                 "violations": self.violations,
                 "total_seconds": self.total_seconds,
             },
         }
+        stripped = strip_timing(dict(body, components=[]))
+        stripped["components"] = untimed
         body["content_digest"] = hashlib.sha256(
-            json.dumps(strip_timing(body), sort_keys=True).encode()
+            json.dumps(stripped, sort_keys=True).encode()
         ).hexdigest()
+        for record, c in zip(records, self.components):
+            record["seconds"] = c.seconds
         return body
 
     def to_json(self) -> str:

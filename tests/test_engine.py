@@ -9,16 +9,22 @@ when the all-product LinearSolver it replaced does.  The
 engine computes each content once, so the integers it builds for a
 multidegree are checked equal to those of its content, and sweep records
 equal to cold recomputations.  Kernel vectors and span ranks are kept
-per y-weight block on kernel.block_key, so the block matrices of
-contents that share a key are checked equal, and cold results equal
-warm ones, and a product block whose key is known is not checked
-again.  The fault-injection tests corrupt one
-column or one kernel vector on cold caches and require the constancy
-side checks to fire with their usual messages and store nothing.
+per y-weight block on kernel.block_key, or above the middle weight on
+kernel.x_weight_key in the divided-power basis, so the block matrices of
+contents that share a key are checked equal, cold results equal warm
+ones, the table's size after a cold benchmark sweep is pinned, and a
+product block whose key is known is not checked again.  Upper blocks
+have no kernel, so the divided-power elimination mapped back to
+monomials is checked against the monomial one on every block, lower
+ones included.  The fault-injection tests corrupt one column or one
+kernel vector on cold caches and require the constancy side checks to
+fire with their usual messages and store nothing.
 """
 
 import random
 from dataclasses import replace
+from fractions import Fraction
+from math import factorial, prod
 from operator import mul
 
 import pytest
@@ -34,8 +40,9 @@ from weitzlab.kernel import (
     delta_table,
     kernel_basis,
     kernel_blocks,
+    x_weight_key,
 )
-from weitzlab.linalg import LinearSolver
+from weitzlab.linalg import LinearSolver, integer_nullspace
 from weitzlab.poly import Polynomial, component_basis, component_content, component_strides
 from weitzlab.products import (
     ConjectureViolation,
@@ -211,26 +218,80 @@ def test_failed_block_check_stores_nothing(monkeypatch, cold_engine):
     assert kernel_blocks(2, (1, 1)) == [(0, [0], ((1,),)), (1, [1, 2], ((1, -1),))]
 
 
-def test_weight_blocks_are_fixed_by_their_key():
-    """Every y-weight block's delta and product matrices depend only on block_key."""
-    boxes = ((2, 12), (3, 8), (4, 7))
+def radix_of(c):
+    """(stride_i, c_i + 1) pairs of content c, as kernel.DeltaImages keeps them."""
+    return tuple(zip(component_strides(len(c), c), (k + 1 for k in c)))
+
+
+def weight_blocks(boxes):
+    """(c, q, source, target, rows) for every y-weight block of every content in boxes.
+
+    source and target are the positions of weights q and q - 1, and rows
+    is delta between them, cut from delta_matrix.
+    """
     contents = {component_content(d, n) for d, m in boxes for n in enumerate_multidegrees(d, m)}
-    first = {}
-    shared = 0
     for c in sorted(contents):
-        d = len(c)
-        weights, _ = delta_table(d, c)
-        matrix = delta_matrix(d, c)
+        weights, _ = delta_table(len(c), c)
+        matrix = delta_matrix(len(c), c)
         by_weight = {}
         for pos, q in enumerate(weights):
             by_weight.setdefault(q, []).append(pos)
-        spans = {q: rows for q, _, _, rows in _product_blocks(d, c)}
         for q, source in by_weight.items():
-            rows = [[matrix[t][s] for s in source] for t in by_weight.get(q - 1, ())]
-            blocks = first.setdefault(block_key(c, q), (rows, spans.get(q)))
-            assert blocks == (rows, spans.get(q)), (c, q)
-            shared += blocks[0] is not rows
+            target = by_weight.get(q - 1, [])
+            yield c, q, source, target, [[matrix[t][s] for s in source] for t in target]
+
+
+def divided_power_rows(c, source, target, rows):
+    """A delta block in the basis x^a y^b / (a! b!), rescaled from its monomial rows."""
+    basis = component_basis(len(c), c)
+
+    def norm(pos):
+        return prod(map(factorial, basis[pos].a)) * prod(map(factorial, basis[pos].b))
+
+    scaled = [
+        [Fraction(e * norm(t), norm(s)) for s, e in zip(source, row)]
+        for t, row in zip(target, rows)
+    ]
+    assert all(e.denominator == 1 for row in scaled for e in row), c
+    return [[int(e) for e in row] for row in scaled]
+
+
+def test_weight_blocks_are_fixed_by_their_key():
+    """Every y-weight block's delta and product matrices depend only on block_key,
+    and above the middle its divided-power matrix depends only on x_weight_key."""
+    first = {}
+    upper = {}
+    spans = {}
+    shared = shared_upper = 0
+    for c, q, source, target, rows in weight_blocks(((2, 12), (3, 8), (4, 7))):
+        if c not in spans:
+            spans[c] = {q: rows for q, _, _, rows in _product_blocks(len(c), c)}
+        blocks = first.setdefault(block_key(c, q), (rows, spans[c].get(q)))
+        assert blocks == (rows, spans[c].get(q)), (c, q)
+        shared += blocks[0] is not rows
+        if 2 * q > sum(c):
+            divided = divided_power_rows(c, source, target, rows)
+            images = DeltaImages(len(c), c)
+            assert kernel._block_rows(images, source, target, radix_of(c)) == divided
+            seen = upper.setdefault(x_weight_key(c, q), divided)
+            assert seen == divided, (c, q)
+            shared_upper += seen is not divided
     assert shared > len(first)  # most blocks repeat one seen before
+    assert shared_upper > len(upper)
+
+
+def test_divided_power_kernels_map_back_to_the_monomial_ones():
+    """Every block, below the middle too: the divided-power elimination, mapped
+    back through 1/(a! b!), gives exactly the monomial block's kernel vectors."""
+    blocks = nonempty = 0
+    for c, q, source, target, rows in weight_blocks(((2, 14), (3, 9), (4, 7), (5, 6))):
+        monomial = tuple(map(tuple, integer_nullspace(rows, len(source))))
+        divided = kernel._block_rows(DeltaImages(len(c), c), source, target, radix_of(c))
+        vectors = tuple(map(tuple, integer_nullspace(divided, len(source))))
+        assert kernel._from_divided(vectors, source, radix_of(c)) == monomial, (c, q)
+        blocks += 1
+        nonempty += bool(monomial)
+    assert (blocks, nonempty) == (2135, 860)  # over 231 contents
 
 
 def test_content_dimensions_equal_cold_and_warm():
@@ -268,6 +329,30 @@ def test_span_blocks_in_the_table_are_not_checked_again(monkeypatch, cold_engine
     assert checked == []
     assert products._span_rank(2, (4, 4)) == expected[1]
     assert len(checked) == 1  # u12^4, the one product of weight 4
+
+
+def test_bogus_upper_block_vector_fails_and_stores_nothing(monkeypatch, cold_engine):
+    # (1, 1) has one upper block, y1*y2 at q = 2, the only one with more rows than columns
+    real = kernel.integer_nullspace
+
+    def bogus(rows, cols):
+        vectors = real(rows, cols)
+        return vectors + [[1] * cols] if len(rows) > cols else vectors
+
+    monkeypatch.setattr(kernel, "integer_nullspace", bogus)
+    with pytest.raises(AssertionError, match=KERNEL_CHECK):
+        kernel_blocks(2, (1, 1))
+    assert x_weight_key((1, 1), 2) not in kernel._BLOCK_KERNELS
+    monkeypatch.undo()
+    assert kernel_blocks(2, (1, 1)) == [(0, [0], ((1,),)), (1, [1, 2], ((1, -1),))]
+    assert kernel._BLOCK_KERNELS[x_weight_key((1, 1), 2)] == ()
+
+
+@pytest.mark.parametrize("d,max_degree,entries", [(2, 18, 183), (4, 8, 365)])
+def test_block_kernel_table_size_after_a_cold_sweep(d, max_degree, entries, cold_engine):
+    """The two benchmark sweeps' distinct kernel blocks: 699 and 678 on block_key alone."""
+    run_verify_sweep(SweepConfig(d=d, max_total_degree=max_degree))
+    assert len(kernel._BLOCK_KERNELS) == entries
 
 
 def types_of(value):

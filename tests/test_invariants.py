@@ -52,6 +52,7 @@ INVARIANTS = [
     (2, 30, 496, "df6f9853b6ff14397ac6f6dba4d902b72c621c42b2ea7140e953fa29b90d1971"),
     (4, 10, 1001, "45f333bc755efd543ff49e650e64b504c1e68e33369b4e46f2fac1360357d32f"),
     (8, 8, 12870, "0c57dff3aa4d81c1e6b413aa18abaa218b1d0280b264535741d00216b78a53f7"),
+    (3, 24, 2925, "c0bce663eae82aa1afab45a762258eb3aa33dde1527d05d08dcb2869cfdb17eb"),
 ]
 
 POOL_DIGEST = "03bc30974a9bd72d85e76464a1710553943467a06b29a3ed36c3faaa3a567c42"
@@ -105,8 +106,8 @@ def test_pool_sweep_digest():
 
 def test_to_json_writes_the_bytes_of_json_dumps():
     """to_json writes verify records itself; json.dumps(indent=2) is the reference."""
-    reports = [
-        run_verify_sweep(SweepConfig(d=d, max_total_degree=m)) for d, m, _, _ in INVARIANTS[:-1]
+    reports = [  # every tier but the two largest, which add only records of the same shape
+        run_verify_sweep(SweepConfig(d=d, max_total_degree=m)) for d, m, _, _ in INVARIANTS[:-2]
     ]
     small = reports[0]
     odd = (1e-05, 2.5e-07, 1e16, 0.0, 123.0, float("inf"), float("nan"))
