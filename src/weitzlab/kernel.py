@@ -39,9 +39,12 @@ monomial one with row t scaled by a_t! b_t! and column s by
 which columns depend on the ones before them, hence the rank, the pivot
 columns and the order of the echelon nullspace vectors; each vector
 changes by the column scaling alone, so mapped back and made primitive
-it is exactly the monomial basis's vector.  A cold d=2 |n|<=18 sweep
-eliminates 183 distinct blocks among 2,281 (699 on block_key alone),
-and a cold d=4 |n|<=8 sweep 365 among 1,249 (678).
+it is exactly the monomial basis's vector.
+
+verify calls kernel_blocks on sorted contents only
+(products._content_dimensions), so a cold d=2 |n|<=18 sweep eliminates
+111 distinct blocks among the 1,285 of its 100 sorted contents (387 on
+block_key alone), and a cold d=4 |n|<=8 sweep 106 among 368 (184).
 """
 
 from __future__ import annotations

@@ -26,13 +26,21 @@ largest position down.
 Both verify_component and decompose key this engine on the component's
 content (poly.component_content): components that differ only by zero
 exponents are the same integers, so each distinct content is computed
-once per process.  One level down, each y-weight block is kept on
+once per process.  verify goes one step further.  Relabelling the
+indices by a permutation sigma, on the x and the y alike, commutes with
+delta and maps every weight block of content c onto that of c o sigma,
+entry for entry, with u_ij going to +-u_sigma(i)sigma(j); so the kernel
+nullity, span rank and product count of c are those of sorted(c), and
+only sorted contents are eliminated, expanded and checked
+(_content_dimensions).  One level down, each y-weight block is kept on
 kernel.block_key: the products of y-weight q are the pair exponents of
 total q whose index degrees are at most min(c_i, q), so blocks with the
 same key are the same matrix with the same number of columns.  Each
 distinct block is expanded, checked constant and ranked once per
 process, and a content whose blocks are all known costs one lookup per
-weight, as on the kernel side (kernel.kernel_blocks).
+weight, as on the kernel side (kernel.kernel_blocks).  A cold d=4
+|n|<=8 sweep ranks 38 distinct product blocks among the 164 of its 53
+sorted contents, and a cold d=2 |n|<=18 sweep 12 among 385.
 """
 
 from __future__ import annotations
@@ -555,14 +563,27 @@ class ComponentReport:
 def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
     """(dim_kernel, dim_span, oracle, product_count) of content c, d = len(c).
 
+    Relabelling the indices by a permutation sigma, on the x and the y
+    alike, commutes with delta and maps each weight block of c onto that
+    of c o sigma: positions go to positions, the entries b_i go along and
+    u_ij goes to +-u_sigma(i)sigma(j).  So the kernel and span numbers
+    of c are those of sorted(c), read from this same cache; only a
+    sorted content is eliminated, expanded and checked, in its own
+    coordinates.  The Kostka oracle runs on c itself, so that it sees
+    the component's own content and shares nothing with that argument.
+
     The kernel and span sides share one kernel.DeltaImages, so a delta
     image is built only for a position of a block eliminated or checked
     here; a block whose key is in its table costs a lookup.
     """
-    d = len(c)
-    images = DeltaImages(d, c)
-    dim_kernel = sum(len(vectors) for _, _, vectors in kernel_blocks(d, c, images))
-    dim_span, product_count = _span_rank(d, c, images)
+    key = tuple(sorted(c))
+    if key != c:
+        dim_kernel, dim_span, _, product_count = _content_dimensions(key)
+    else:
+        d = len(c)
+        images = DeltaImages(d, c)
+        dim_kernel = sum(len(v) for _, _, v in kernel_blocks(d, c, images))
+        dim_span, product_count = _span_rank(d, c, images)
     return dim_kernel, dim_span, sum(kostka_numbers(c)), product_count
 
 
@@ -575,11 +596,14 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     expanded product is confirmed to be a constant.  The numbers are
     computed once per content c, the nonzero entries of n in dimension
     len(c) (poly.component_content), so a component that shares its
-    content with an earlier one costs a lookup, and a failing side check
-    names products by the content's indices.  Below the content, each
-    distinct y-weight block (kernel.block_key) is eliminated, expanded
-    and checked once per process, and its kernel vectors, rank and
-    product count are read back for every later content that has it.
+    content with an earlier one costs a lookup.  The kernel and span
+    numbers of c are those of sorted(c), which is the one eliminated,
+    expanded and checked, so a failing side check names products by the
+    sorted content's indices; the oracle runs on c itself.  Below the
+    content, each distinct y-weight block (kernel.block_key) is
+    eliminated, expanded and checked once per process, and its kernel
+    vectors, rank and product count are read back for every later
+    content that has it.
     """
     start = time.perf_counter()
     n = tuple(n)

@@ -114,13 +114,17 @@ class SweepReport:
             return sum(1 for r in self.rows if not r["ok"])
         return sum(1 for r in self.components if not r.verdict)
 
-    def to_dict(self) -> dict:
+    def _digested(self) -> tuple[dict, list[dict]]:
+        """(body, untimed): the report with an empty components list, and its records.
+
+        untimed holds the component records without their timing fields,
+        exactly as the content digest in body hashes them.
+        """
         if self.rows:
-            records = self.rows
             untimed = [strip_timing(r) for r in self.rows]
-        else:  # one dict per record, digested without its seconds, which go back in after
-            records = untimed = [c.to_dict() for c in self.components]
-            for record in records:
+        else:
+            untimed = [c.to_dict() for c in self.components]
+            for record in untimed:
                 del record["seconds"]
         body = {
             "schema_version": SCHEMA_VERSION,
@@ -128,35 +132,44 @@ class SweepReport:
             "tool_version": __version__,
             "kind": self.kind,
             "config": self.config.to_dict(),
-            "components": records,
+            "components": [],
             "aggregate": {
                 "components_checked": len(self.rows or self.components),
                 "violations": self.violations,
                 "total_seconds": self.total_seconds,
             },
         }
-        stripped = strip_timing(dict(body, components=[]))
+        stripped = strip_timing(body)
         stripped["components"] = untimed
         body["content_digest"] = hashlib.sha256(
             json.dumps(stripped, sort_keys=True).encode()
         ).hexdigest()
-        for record, c in zip(records, self.components):
-            record["seconds"] = c.seconds
+        return body, untimed
+
+    def to_dict(self) -> dict:
+        body, records = self._digested()
+        if self.rows:
+            records = self.rows
+        else:  # the digested dicts, seconds put back last
+            for record, c in zip(records, self.components):
+                record["seconds"] = c.seconds
+        body["components"] = records
         return body
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2) plus a newline, byte for byte.
 
         indent selects json's pure-Python encoder, so verify records are
-        written by _record_json instead; the rest of the body, and
-        crosscheck rows, which nest, still go through json.dumps.
+        written by _record_json instead, and the record dicts are built
+        only for the digest; the rest of the body, and crosscheck rows,
+        which nest, still go through json.dumps.
         """
-        body = self.to_dict()
         if self.rows:
-            return json.dumps(body, indent=2) + "\n"
+            return json.dumps(self.to_dict(), indent=2) + "\n"
+        body, _ = self._digested()
         fields = []
         for key, value in body.items():
-            if key == "components" and value:
+            if key == "components" and self.components:
                 text = "[\n" + ",\n".join(map(_record_json, self.components)) + "\n  ]"
             else:
                 text = json.dumps(value, indent=2).replace("\n", "\n  ")

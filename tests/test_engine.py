@@ -13,7 +13,12 @@ per y-weight block on kernel.block_key, or above the middle weight on
 kernel.x_weight_key in the divided-power basis, so the block matrices of
 contents that share a key are checked equal, cold results equal warm
 ones, the table's size after a cold benchmark sweep is pinned, and a
-product block whose key is known is not checked again.  Upper blocks
+product block whose key is known is not checked again.  Only sorted
+contents reach the block tables: every weight block of a content is
+checked equal, through the relabelling of its indices, to that of its
+sorted content, with the same nullities and span numbers, and an
+unsorted component is checked to be computed through its sorted
+content.  Upper blocks
 have no kernel, so the divided-power elimination mapped back to
 monomials is checked against the monomial one on every block, lower
 ones included.  The fault-injection tests corrupt one column or one
@@ -348,11 +353,84 @@ def test_bogus_upper_block_vector_fails_and_stores_nothing(monkeypatch, cold_eng
     assert kernel._BLOCK_KERNELS[x_weight_key((1, 1), 2)] == ()
 
 
-@pytest.mark.parametrize("d,max_degree,entries", [(2, 18, 183), (4, 8, 365)])
-def test_block_kernel_table_size_after_a_cold_sweep(d, max_degree, entries, cold_engine):
-    """The two benchmark sweeps' distinct kernel blocks: 699 and 678 on block_key alone."""
+@pytest.mark.parametrize("d,max_degree,entries,spans", [(2, 18, 111, 12), (4, 8, 106, 38)])
+def test_block_kernel_table_size_after_a_cold_sweep(d, max_degree, entries, spans, cold_engine):
+    """The two benchmark sweeps' distinct kernel and product blocks, sorted contents only.
+
+    Eliminating every content's blocks gave 183 and 365 kernel entries
+    (699 and 678 on block_key alone) and 12 and 138 span entries.
+    """
     run_verify_sweep(SweepConfig(d=d, max_total_degree=max_degree))
     assert len(kernel._BLOCK_KERNELS) == entries
+    assert len(products._BLOCK_SPANS) == spans
+
+
+def relabelled(c, sigma):
+    """Position map of content c onto c o sigma: b goes to (b_sigma(0), b_sigma(1), ...)."""
+    radix = radix_of(c)
+    strides = component_strides(len(c), [c[i] for i in sigma])
+    return lambda pos: sum(pos // radix[i][0] % radix[i][1] * s for i, s in zip(sigma, strides))
+
+
+def test_blocks_of_a_content_are_those_of_its_sorted_content():
+    """Relabelling the indices through sigma, sorted(c) = c o sigma, maps every
+    monomial weight block of c entry for entry onto that of sorted(c), so both
+    have the same kernel nullities, span rank and product count."""
+    contents = {
+        component_content(d, n)
+        for d, m in ((3, 9), (4, 7), (5, 6))
+        for n in enumerate_multidegrees(d, m)
+    }
+    unsorted = 0
+    for c in sorted(contents):
+        key = tuple(sorted(c))
+        numbers, blocks, images = [], [], []
+        for content in (c, key):
+            clear_engine()
+            nullities = [(q, len(v)) for q, _, v in kernel_blocks(len(content), content)]
+            numbers.append((nullities, products._span_rank(len(content), content)))
+            by_weight = {}
+            for pos, q in enumerate(kernel.position_weights(content)):
+                by_weight.setdefault(q, []).append(pos)
+            blocks.append(by_weight)
+            images.append(DeltaImages(len(content), content))
+        assert numbers[0] == numbers[1], c
+        move = relabelled(c, sorted(range(len(c)), key=c.__getitem__))
+        for q, source in blocks[0].items():
+            target = blocks[0].get(q - 1, [])
+            source_key, target_key = blocks[1][q], blocks[1].get(q - 1, [])
+            assert sorted(map(move, source)) == source_key, (c, q)
+            assert sorted(map(move, target)) == target_key, (c, q)
+            rows = kernel._block_rows(images[0], source, target)
+            rows_key = kernel._block_rows(images[1], source_key, target_key)
+            row_of = {pos: i for i, pos in enumerate(target_key)}
+            column_of = {pos: j for j, pos in enumerate(source_key)}
+            for t, row in zip(target, rows):
+                moved = rows_key[row_of[move(t)]]
+                assert row == [moved[column_of[move(s)]] for s in source], (c, q)
+        unsorted += key != c
+    assert (len(contents), unsorted) == (171, 109)
+
+
+def test_an_unsorted_content_is_computed_through_its_sorted_one(monkeypatch, cold_engine):
+    calls = []
+
+    def record(name, real):
+        def recorded(d, c, *args):
+            calls.append((name, c))
+            return real(d, c, *args)
+
+        monkeypatch.setattr(products, name, recorded)
+
+    record("kernel_blocks", kernel_blocks)
+    record("_span_rank", products._span_rank)
+    report = verify_component(3, (3, 1, 2))
+    assert calls == [("kernel_blocks", (1, 2, 3)), ("_span_rank", (1, 2, 3))]
+    assert products._content_dimensions.cache_info().currsize == 2
+    assert replace(verify_component(3, (1, 2, 3)), n=report.n, seconds=0) == replace(
+        report, seconds=0
+    )
+    assert len(calls) == 2
 
 
 def types_of(value):
