@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import comb, gcd, prod
 from operator import mul
 
@@ -60,7 +59,6 @@ from .poly import Polynomial, component_basis, component_strides
 
 __all__ = [
     "position_weights",
-    "delta_table",
     "DeltaImages",
     "integer_delta",
     "delta_matrix",
@@ -80,29 +78,13 @@ def position_weights(n: tuple[int, ...]) -> list[int]:
     return weights
 
 
-def delta_table(
-    d: int, n: tuple[int, ...]
-) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """The y-weight and the delta image of every basis monomial, by position.
+class DeltaImages(dict):
+    """The delta image of every position of component n, built on first lookup.
 
     images[pos] lists (position, coefficient) pairs: b_i at pos - stride_i
-    for every i with b_i > 0.  itertools.product walks the y-exponent
-    tuples b in position order, since the last stride is 1.
-    """
-    strides = component_strides(d, n)
-    images = [
-        [(pos - s, e) for s, e in zip(strides, b) if e]
-        for pos, b in enumerate(product(*(range(k + 1) for k in n)))
-    ]
-    return position_weights(n), images
-
-
-class DeltaImages(dict):
-    """delta_table(d, n)'s images, each built on its first lookup.
-
-    images[pos] decodes b_i = (pos // stride_i) % (n_i + 1) and is the
-    same list delta_table gives, so a caller that touches few positions
-    of a large component never builds the rest.
+    for every i with b_i > 0, where b_i = (pos // stride_i) % (n_i + 1).
+    A caller that touches few positions of a large component never builds
+    the rest.
     """
 
     __slots__ = ("_radix",)
@@ -135,10 +117,11 @@ def delta_matrix(d: int, n: tuple[int, ...]) -> list[list[int]]:
     Rows and columns are both indexed by component_basis(d, n) in
     canonical order; column j holds the image of the j-th basis monomial.
     """
-    _, images = delta_table(d, n)
-    rows = [[0] * len(images) for _ in images]
-    for j, image in enumerate(images):
-        for t, e in image:
+    images = DeltaImages(d, n)
+    size = prod(k + 1 for k in n)
+    rows = [[0] * size for _ in range(size)]
+    for j in range(size):
+        for t, e in images[j]:
             rows[t][j] = e
     return rows
 

@@ -423,7 +423,8 @@ def component_content(d: int, n: tuple[int, ...]) -> tuple[int, ...]:
 
     A zero n_i has radix 1, so the component of n and that of its content
     c, in dimension len(c), have the same positions and the same integers
-    on them: delta_table, kernel_blocks, product columns, kostka_numbers.
+    on them: delta images, kernel_blocks, standard product columns and
+    kostka_numbers.
     """
     _check_multidegree(d, n)
     return tuple(filter(None, n))

@@ -6,22 +6,24 @@ monomial x^p * prod u_ij^q_ij in those generators; enumerate_products
 lists every ProductTerm of a given multidegree.  The products span each
 component's kernel but are not independent: the Plucker identity
 u_ij*u_kl - u_ik*u_jl + u_il*u_jk = 0 (and its x-degree shadows) makes
-the span collapse, which is why ranks are measured by elimination rather
-than by counting.
+the span collapse.  The standard products, one per two-row semistandard
+tableau (_standard_columns), are a basis of that span, and each has its
+own leading position with coefficient +-1 (standard monomial theory).
 
 verify_component is the whole point: for one multidegree it computes the
 kernel dimension, the product-span dimension, and the independent tableau
 count, and reports whether all three agree.  It runs on integers indexed
-by component position (poly.component_strides): one iterative walk over
-the u exponents expands products into integer columns, sharing the
-expansion of common prefixes, and only _dense_block assembles the
-columns into matrices; no ProductTerm is built on that path.
+by component position (poly.component_strides).  The span dimension is
+the rank of the standard products: one walk over the tableaux expands
+them into integer columns, sharing the expansion of common prefixes,
+and checks each one constant; no ProductTerm is built on that path.
+That is enough to prove a component: the standard products lie in the
+kernel, so their rank is at most its dimension, and equality means they
+span it.  The other products are only counted (_exponent_walk), never
+expanded.
 
-decompose needs no matrix.  The standard products, one per two-row
-semistandard tableau (_standard_columns), are a basis of each component
-and each has its own leading position with coefficient +-1 (standard
-monomial theory), so a constant is straightened into them from its
-largest position down.
+decompose needs no matrix: a constant is straightened into the standard
+products from its largest position down.
 
 Both verify_component and decompose key this engine on the component's
 content (poly.component_content): components that differ only by zero
@@ -35,17 +37,20 @@ only sorted contents are eliminated, expanded and checked
 (_content_dimensions).  One level down, each y-weight block is kept on
 kernel.block_key: the products of y-weight q are the pair exponents of
 total q whose index degrees are at most min(c_i, q), so blocks with the
-same key are the same matrix with the same number of columns.  Each
-distinct block is expanded, checked constant and ranked once per
-process, and a content whose blocks are all known costs one lookup per
-weight, as on the kernel side (kernel.kernel_blocks).  A cold d=4
-|n|<=8 sweep ranks 38 distinct product blocks among the 164 of its 53
-sorted contents, and a cold d=2 |n|<=18 sweep 12 among 385.
+same key are the same matrix with the same number of columns, and the
+same rank, which the block's standard products have too.  Each distinct
+block's standard products are expanded, checked constant and ranked
+once per process (_span_rank), and a content whose blocks are all known
+costs one lookup per weight, as on the kernel side
+(kernel.kernel_blocks).  A cold d=4 |n|<=8 sweep ranks 38 distinct
+product blocks among the 164 of its 53 sorted contents, and a cold d=2
+|n|<=18 sweep 12 among 385.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -141,37 +146,31 @@ class ProductTerm:
         return "*".join(parts) if parts else "1"
 
 
-def _exponent_walk(d: int, n: tuple[int, ...], top: int | None = None) -> Iterator[tuple]:
-    """Every product of multidegree n as (level, q, p), p forced by q.
+def _exponent_walk(d: int, n: tuple[int, ...]) -> Iterator[tuple]:
+    """Every product of multidegree n as (q, p), p forced by q.
 
     An iterative odometer over pair_order(d), exponents ascending, the
-    last pair turning fastest, so the all-x product comes first.  level is
-    the pair whose exponent just rose by one, all later ones back at 0
-    (len(q) for the first product); q and p are updated in place.  With
-    top, no exponent rises once the y-weight sum(q) is top, so the walk
-    yields the products of weight at most top, in the same order.
+    last pair turning fastest, so the all-x product comes first; q and p
+    are updated in place.
     """
     if len(n) != d or any(k < 0 for k in n):
         raise ValueError("invalid multidegree")
     pairs = [(i - 1, j - 1) for i, j in pair_order(d)]
     p = list(n)
     q = [0] * len(pairs)
-    room = sum(n) if top is None else top
-    yield len(q), q, p
+    yield q, p
     k = len(q) - 1
     while k >= 0:
         i, j = pairs[k]
-        if p[i] and p[j] and room:
+        if p[i] and p[j]:
             p[i] -= 1
             p[j] -= 1
             q[k] += 1
-            room -= 1
-            yield k, q, p
+            yield q, p
             k = len(q) - 1
         else:
             p[i] += q[k]
             p[j] += q[k]
-            room += q[k]
             q[k] = 0
             k -= 1
 
@@ -179,7 +178,7 @@ def _exponent_walk(d: int, n: tuple[int, ...], top: int | None = None) -> Iterat
 @lru_cache(maxsize=None)
 def enumerate_products(d: int, n: tuple[int, ...]) -> tuple[ProductTerm, ...]:
     """Every ProductTerm of multidegree n, exactly once, in _exponent_walk order."""
-    return tuple(ProductTerm(tuple(p), tuple(q)) for _, q, p in _exponent_walk(d, n))
+    return tuple(ProductTerm(tuple(p), tuple(q)) for q, p in _exponent_walk(d, n))
 
 
 def _times_u(column: dict[int, int], si: int, sj: int) -> dict[int, int]:
@@ -193,46 +192,6 @@ def _times_u(column: dict[int, int], si: int, sj: int) -> dict[int, int]:
         out[pos + sj] = out.get(pos + sj, 0) + c
         out[pos + si] = out.get(pos + si, 0) - c
     return {pos: c for pos, c in out.items() if c}
-
-
-def _product_columns(
-    d: int,
-    n: tuple[int, ...],
-    images: DeltaImages | None = None,
-    weights: set[int] | None = None,
-) -> list[tuple[int, dict[int, int]]]:
-    """(y-weight, column) of every product of multidegree n, each checked constant.
-
-    In enumerate_products order.  partial[k + 1] is the product of the u
-    factors of pairs 0..k, shared by every product with those exponents:
-    when pair k's exponent rises it gains one u_ij factor, and the later
-    levels, back at 0, share it.  images is the component's
-    kernel.DeltaImages when the caller has one.  With weights, only the
-    products of those y-weights are checked and kept: the walk stops at
-    the largest, and the products of other weights below it are
-    multiplied out, as prefixes that later products share, but neither
-    checked nor kept.
-    """
-    strides = component_strides(d, n)
-    images = DeltaImages(d, n) if images is None else images
-    pairs = pair_order(d)
-    partial = [{0: 1}] * (len(pairs) + 1)
-    out = []
-    top = None if weights is None else max(weights)
-    for k, q, p in _exponent_walk(d, n, top):
-        if k < len(pairs):
-            i, j = pairs[k]
-            column = _times_u(partial[k + 1], strides[i - 1], strides[j - 1])
-            partial[k + 1 :] = [column] * (len(pairs) - k)
-        weight = sum(q)
-        if weights is not None and weight not in weights:
-            continue
-        column = partial[-1]
-        if integer_delta(images, column):
-            label = ProductTerm(tuple(p), tuple(q)).label()
-            raise AssertionError(f"product {label} is not a constant")
-        out.append((weight, column))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -264,33 +223,6 @@ class ConjectureViolation(Exception):
     """A kernel element outside the product span; must never be swallowed."""
 
 
-def _dense_block(block: list[dict[int, int]]) -> tuple[list[int], list[list[int]]]:
-    """The columns of block as (positions, rows).
-
-    positions are those the columns touch, ascending, with one fresh dense
-    integer row each.
-    """
-    positions = sorted({pos for column in block for pos in column})
-    rows = [[column.get(pos, 0) for column in block] for pos in positions]
-    return positions, rows
-
-
-def _product_blocks(d: int, n: tuple[int, ...]) -> Iterator[tuple]:
-    """(q, indices, positions, rows) for every y-weight block of component n.
-
-    x^p * prod u_ij^q_ij has y-weight sum(q) in every term, so the
-    expansion matrix of a component is block diagonal, one block per
-    weight.  indices are the block's products in enumeration order and
-    (positions, rows) its _dense_block.
-    """
-    columns = _product_columns(d, n)
-    grouped: dict[int, list[int]] = {}
-    for k, (weight, _) in enumerate(columns):
-        grouped.setdefault(weight, []).append(k)
-    for q, indices in grouped.items():
-        yield (q, indices, *_dense_block([columns[k][1] for k in indices]))
-
-
 def _top_weight(n: tuple[int, ...]) -> int:
     """The largest y-weight of a product of multidegree n.
 
@@ -310,25 +242,40 @@ _BLOCK_SPANS: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
 def _span_rank(
     d: int, n: tuple[int, ...], images: DeltaImages | None = None
 ) -> tuple[int, int]:
-    """(rank, count) of the products of multidegree n, every one checked constant.
+    """(rank of the standard products, number of all products) of multidegree n.
 
     The products of y-weight q are the pair exponents of total q whose
     index degrees are at most min(n_i, q), so kernel.block_key(n, q)
-    fixes both the block's columns and their number.  Only the weights
-    whose key is not in _BLOCK_SPANS are walked, checked and ranked, and
-    their entries are stored once every one of their columns has passed
-    its check.  images is the component's kernel.DeltaImages when the
-    caller has one.
+    fixes the all-product block's matrix, its number of columns and its
+    rank.  The standard products of weight q are a basis of that block's
+    span (standard monomial theory), so their rank is fixed by the key
+    too, although the tableaux themselves differ between contents that
+    share it.  Only the weights whose key is not in _BLOCK_SPANS have
+    their standard products walked, checked constant and ranked, and
+    their products counted by _exponent_walk with no column built; each
+    entry is stored once every one of its columns has passed its check.
+    images is the component's kernel.DeltaImages when the caller has one.
+
+    Only the standard products are checked constant, and that is enough
+    for a lower bound on the span: an entry's rank is that of standard
+    products, which are products, so it is at most the rank of the
+    all-product block of any content with that key, and those products
+    are constants, so that rank is at most the block's kernel nullity.
+    The sum is at most dim_kernel, and dim_span == dim_kernel proves that
+    the products span the component's kernel.  An enumerator fault can
+    fail a true component; it cannot pass a false one.
     """
     keys = [block_key(n, q) for q in range(_top_weight(n) + 1)]
     missing = {q for q, key in enumerate(keys) if key not in _BLOCK_SPANS}
     if missing:
         blocks: dict[int, list[dict[int, int]]] = {q: [] for q in missing}
-        for q, column in _product_columns(d, n, images, missing):
-            blocks[q].append(column)
+        for q, _, column in _standard_columns(d, n, images, missing):
+            blocks[sum(q)].append(column)
+        counts = Counter(sum(q) for q, _ in _exponent_walk(d, n))
         for q, block in blocks.items():
-            _, rows = _dense_block(block)
-            _BLOCK_SPANS[keys[q]] = integer_rank(rows, len(block)), len(block)
+            positions = sorted({pos for column in block for pos in column})
+            rows = [[column.get(pos, 0) for column in block] for pos in positions]
+            _BLOCK_SPANS[keys[q]] = integer_rank(rows, len(block)), counts[q]
     rank = count = 0
     for key in keys:
         block_rank, block_count = _BLOCK_SPANS[key]
@@ -338,7 +285,11 @@ def _span_rank(
 
 
 def span_dimension(d: int, n: tuple[int, ...]) -> int:
-    """Exact rank of the products of multidegree n inside their component."""
+    """Rank of the products of multidegree n inside their component.
+
+    It is the rank of the standard products, a basis of the products'
+    span; only they are expanded and checked constant (see _span_rank).
+    """
     return _span_rank(d, n)[0]
 
 
@@ -355,7 +306,12 @@ def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
     )
 
 
-def _standard_columns(d: int, c: tuple[int, ...]) -> list[tuple]:
+def _standard_columns(
+    d: int,
+    c: tuple[int, ...],
+    images: DeltaImages | None = None,
+    weights: set[int] | None = None,
+) -> list[tuple]:
     """(q, p, column) of every standard product of content c, each checked constant.
 
     The standard products are indexed by the two-row semistandard
@@ -368,16 +324,22 @@ def _standard_columns(d: int, c: tuple[int, ...]) -> list[tuple]:
     covered (one u factor each), and the rest of the copies extend row 1.
     Products with the same choices so far share that part of the column,
     and the constancy check builds the delta image of a position only
-    when a column first touches it (kernel.DeltaImages).
+    when a column first touches it (kernel.DeltaImages).  images is the
+    component's DeltaImages when the caller has one.  With weights, only
+    the products of those y-weights, their row-2 lengths, are checked and
+    kept, and no branch is walked past the largest.
     """
     strides = component_strides(d, c)
-    images = DeltaImages(d, c)
+    images = DeltaImages(d, c) if images is None else images
+    cap = sum(c) if weights is None else max(weights)
     slot = {pair: k for k, pair in enumerate(pair_order(d))}
     q = [0] * len(slot)
     out = []
 
     def place(l: int, top: list[int], covered: int, column: dict[int, int]) -> None:
         if l == 0:
+            if weights is not None and covered not in weights:
+                return
             p = [0] * d
             for b in top[covered:]:
                 p[b - 1] += 1
@@ -387,7 +349,7 @@ def _standard_columns(d: int, c: tuple[int, ...]) -> list[tuple]:
             out.append((tuple(q), tuple(p), column))
             return
         count = c[l - 1]
-        for k in range(min(count, len(top) - covered) + 1):
+        for k in range(min(count, len(top) - covered, cap - covered) + 1):
             if k:
                 b = top[covered + k - 1]
                 column = _times_u(column, strides[l - 1], strides[b - 1])
@@ -573,8 +535,10 @@ def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
     the component's own content and shares nothing with that argument.
 
     The kernel and span sides share one kernel.DeltaImages, so a delta
-    image is built only for a position of a block eliminated or checked
-    here; a block whose key is in its table costs a lookup.
+    image is built only for a position of a block eliminated here or of
+    a standard product checked here; a block whose key is in its table
+    costs a lookup.  product_count counts every product, standard or
+    not, with no column built.
     """
     key = tuple(sorted(c))
     if key != c:
@@ -591,9 +555,12 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     """Compare the three dimension routes for one component.
 
     dim_kernel comes from exact elimination, dim_span from the rank of the
-    expanded products, and the oracle from summing the Kostka numbers of
-    every two-row shape.  As side checks every kernel vector and every
-    expanded product is confirmed to be a constant.  The numbers are
+    expanded standard products, and the oracle from summing the Kostka
+    numbers of every two-row shape.  As side checks every kernel vector
+    and every standard product is confirmed to be a constant; the other
+    products are only counted, for product_count.  dim_span is at most
+    dim_kernel whichever products the walk picks, so equality proves
+    that the products span the kernel (see _span_rank).  The numbers are
     computed once per content c, the nonzero entries of n in dimension
     len(c) (poly.component_content), so a component that shares its
     content with an earlier one costs a lookup.  The kernel and span

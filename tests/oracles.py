@@ -4,7 +4,11 @@ Everything here is deliberately naive and shares no code path with the
 package: plain rational Gauss-Jordan instead of fraction-free elimination,
 generate-and-filter enumerations instead of recursive construction, and
 the sl2 character identity instead of counting tableaux.
-Expected values asserted in the tests are computed with these.
+Expected values asserted in the tests are computed with these.  The
+one exception is product_blocks_oracle, the all-product reference for
+the standard-product routes: it multiplies the products out with the
+package's enumerate_products and expand, which the tests check against
+products_oracle and expand_oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import re
 from fractions import Fraction
 from itertools import combinations, product
 
-from weitzlab.poly import Monomial, PolyParseError, Polynomial
+from weitzlab.poly import Monomial, PolyParseError, Polynomial, component_basis
+from weitzlab.products import enumerate_products, expand
 
 
 # ------------------------------------------------------------ linear algebra
@@ -257,6 +262,48 @@ def expand_oracle(t) -> Polynomial:
             x_j, y_j = Polynomial.x(j, d), Polynomial.y(j, d)
             poly = poly * (x_i * y_j - x_j * y_i) ** e
     return poly
+
+
+def delta_table(
+    d: int, n: tuple[int, ...]
+) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The y-weight and the delta image of every basis monomial, by position.
+
+    Positions walk the y-exponent tuples b of component n lexicographically,
+    with stride_i = prod_{k>i} (n_k + 1); images[pos] lists (position,
+    coefficient) pairs: b_i at pos - stride_i for every i with b_i > 0.
+    """
+    if len(n) != d:
+        raise ValueError("multidegree length must equal d")
+    strides = [1] * d
+    for i in range(d - 2, -1, -1):
+        strides[i] = strides[i + 1] * (n[i + 1] + 1)
+    exponents = list(product(*(range(k + 1) for k in n)))
+    images = [
+        [(pos - s, e) for s, e in zip(strides, b) if e] for pos, b in enumerate(exponents)
+    ]
+    return [sum(b) for b in exponents], images
+
+
+def product_blocks_oracle(d: int, n: tuple[int, ...]) -> dict[int, tuple]:
+    """(terms, positions, rows) of every y-weight block of the products of n.
+
+    Every product of enumerate_products(d, n) is multiplied out by expand
+    and grouped by its y-weight sum(q), in enumeration order.  positions
+    are the component positions its columns touch, ascending, and
+    rows[i][j] is the coefficient of product j at positions[i].
+    """
+    index = {m: pos for pos, m in enumerate(component_basis(d, n))}
+    grouped: dict[int, list] = {}
+    for t in enumerate_products(d, n):
+        grouped.setdefault(sum(t.q), []).append(t)
+    blocks = {}
+    for q, terms in grouped.items():
+        columns = [{index[m]: int(c) for m, c in expand(t).terms()} for t in terms]
+        positions = sorted({pos for column in columns for pos in column})
+        rows = [[column.get(pos, 0) for column in columns] for pos in positions]
+        blocks[q] = (terms, positions, rows)
+    return blocks
 
 
 # ------------------------------------------------------------ text format

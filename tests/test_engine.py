@@ -1,11 +1,12 @@
 """The integer component engine against the Polynomial route it replaced.
 
-Every component with d <= 4 and |n| <= 5 is checked three ways: product
-columns against repeated Polynomial multiplication, the integer delta
-against derivation.delta, and the span rank against the number of
-standard products and the unsplit rational rank.  decompose, which
-straightens over the standard products, must find a certificate exactly
-when the all-product LinearSolver it replaced does.  The
+Every component with d <= 4 and |n| <= 5 is checked three ways:
+standard product columns against repeated Polynomial multiplication,
+the integer delta against derivation.delta, and the span rank against
+the number of standard products and the unsplit rational rank of all
+products.  decompose, which straightens over the standard products,
+must find a certificate exactly when an all-product LinearSolver on
+oracles.product_blocks_oracle does.  The
 engine computes each content once, so the integers it builds for a
 multidegree are checked equal to those of its content, and sweep records
 equal to cold recomputations.  Kernel vectors and span ranks are kept
@@ -13,7 +14,11 @@ per y-weight block on kernel.block_key, or above the middle weight on
 kernel.x_weight_key in the divided-power basis, so the block matrices of
 contents that share a key are checked equal, cold results equal warm
 ones, the table's size after a cold benchmark sweep is pinned, and a
-product block whose key is known is not checked again.  Only sorted
+product block whose key is known is not checked again.  The span is
+ranked on the standard products, whose tableaux differ between contents
+that share a key, so an entry stored by one content is checked against
+another's cold value, and on every sorted content of d=6 |n| <= 8 the
+rank is checked equal to the standard count and the Kostka sum.  Only sorted
 contents reach the block tables: every weight block of a content is
 checked equal, through the relabelling of its indices, to that of its
 sorted content, with the same nullities and span numbers, and an
@@ -42,7 +47,6 @@ from weitzlab.kernel import (
     DeltaImages,
     block_key,
     delta_matrix,
-    delta_table,
     kernel_basis,
     kernel_blocks,
     x_weight_key,
@@ -52,8 +56,7 @@ from weitzlab.poly import Polynomial, component_basis, component_content, compon
 from weitzlab.products import (
     ConjectureViolation,
     NotInKernel,
-    _product_blocks,
-    _product_columns,
+    ProductTerm,
     _standard_columns,
     _top_weight,
     decompose,
@@ -65,7 +68,7 @@ from weitzlab.products import (
 from weitzlab.report import SweepConfig, enumerate_multidegrees, run_verify_sweep
 from weitzlab.tableaux import kostka_numbers
 
-from oracles import expand_oracle, span_dim_of_polys
+from oracles import delta_table, expand_oracle, product_blocks_oracle, span_dim_of_polys
 from test_invariants import certificate_inputs, golden_kernel_runs
 
 COMPONENTS = [(d, n) for d in range(1, 5) for n in enumerate_multidegrees(d, 5)]
@@ -78,13 +81,11 @@ def as_column(poly, d, n):
 
 def test_product_columns_match_multiplication_oracle():
     for d, n in COMPONENTS:
-        columns = [column for _, column in _product_columns(d, n)]
-        terms = enumerate_products(d, n)
-        assert len(columns) == len(terms)
-        for t, column in zip(terms, columns):
-            oracle = expand_oracle(t)
-            assert column == as_column(oracle, d, n), t.label()
-            assert expand(t) == oracle
+        for t in enumerate_products(d, n):
+            assert expand(t) == expand_oracle(t), t.label()
+        for q, p, column in _standard_columns(d, n):
+            t = ProductTerm(p, q)
+            assert column == as_column(expand_oracle(t), d, n), t.label()
 
 
 def test_integer_delta_matches_derivation():
@@ -113,13 +114,23 @@ def test_span_rank_matches_standard_count():
         assert span_dimension(d, n) == len(_standard_columns(d, n)) == unsplit, n
 
 
+def test_span_rank_is_the_standard_count_and_the_kostka_sum():
+    """Every sorted content of d=6 |n|<=8, through the warm span table."""
+    contents = sorted({tuple(sorted(filter(None, n))) for n in enumerate_multidegrees(6, 8)})
+    for c in contents:
+        rank, count = products._span_rank(len(c), c)
+        assert rank == len(_standard_columns(len(c), c)) == sum(kostka_numbers(c)), c
+        assert count == len(enumerate_products(len(c), c)), c
+    assert len(contents) == 64
+
+
 def solver_finds_certificate(f, d, n):
     """Is every y-weight block of the all-product system [A | I] consistent at f?"""
     strides = component_strides(d, n)
     values = {sum(map(mul, m.b, strides)): c for m, c in f.terms()}
-    for _, indices, positions, rows in _product_blocks(d, n):
+    for terms, positions, rows in product_blocks_oracle(d, n).values():
         b = [values.pop(pos, 0) for pos in positions]
-        if LinearSolver(rows, len(indices)).solve(b) is None:
+        if LinearSolver(rows, len(terms)).solve(b) is None:
             return False
     return not values  # a monomial that no product touches
 
@@ -141,14 +152,19 @@ def test_decompose_agrees_with_all_product_solver():
                 assert rebuilt == g, n
 
 
+def weighted_columns(d, n):
+    """(y-weight, column) of every standard product, in walk order."""
+    return [(sum(q), column) for q, _, column in _standard_columns(d, n)]
+
+
 def test_components_equal_their_content():
     components = [(d, n) for d in range(1, 5) for n in enumerate_multidegrees(d, 7)]
     components += [(5, n) for n in enumerate_multidegrees(5, 5)]
     for d, n in components:
         c = component_content(d, n)
-        assert delta_table(d, n) == delta_table(len(c), c), n
+        assert delta_matrix(d, n) == delta_matrix(len(c), c), n
         assert kernel_blocks(d, n) == kernel_blocks(len(c), c), n
-        assert _product_columns(d, n) == _product_columns(len(c), c), n
+        assert weighted_columns(d, n) == weighted_columns(len(c), c), n
         assert kostka_numbers(n) == kostka_numbers(c), n
 
 
@@ -270,7 +286,7 @@ def test_weight_blocks_are_fixed_by_their_key():
     shared = shared_upper = 0
     for c, q, source, target, rows in weight_blocks(((2, 12), (3, 8), (4, 7))):
         if c not in spans:
-            spans[c] = {q: rows for q, _, _, rows in _product_blocks(len(c), c)}
+            spans[c] = {w: block[2] for w, block in product_blocks_oracle(len(c), c).items()}
         blocks = first.setdefault(block_key(c, q), (rows, spans[c].get(q)))
         assert blocks == (rows, spans[c].get(q)), (c, q)
         shared += blocks[0] is not rows
@@ -317,6 +333,27 @@ def test_top_weight_is_the_largest_product_weight():
         for n in enumerate_multidegrees(d, 7 if d < 5 else 5):
             weights = {sum(t.q) for t in enumerate_products(d, n)}
             assert weights == set(range(_top_weight(n) + 1)), n
+
+
+def test_a_shared_span_key_stands_for_other_standard_products(cold_engine):
+    """(1, 2, 2) and (1, 2, 3) share block_key at q = 2, where c_3 = q in the
+    first and c_3 > q in the second, so their weight-2 standard products
+    differ; the second's span numbers read from the table equal its cold ones."""
+    first, second, q = (1, 2, 2), (1, 2, 3), 2
+    key = block_key(first, q)
+    assert key == block_key(second, q)
+
+    def standard(c):
+        return {ProductTerm(p, e) for e, p, _ in _standard_columns(3, c) if sum(e) == q}
+
+    assert standard(first) != standard(second)
+    assert len(standard(first)) == len(standard(second))
+    cold = products._span_rank(3, second)
+    cold_entry = products._BLOCK_SPANS[key]
+    clear_engine()
+    products._span_rank(3, first)
+    assert products._BLOCK_SPANS[key] == cold_entry
+    assert products._span_rank(3, second) == cold
 
 
 def test_span_blocks_in_the_table_are_not_checked_again(monkeypatch, cold_engine):
