@@ -234,8 +234,8 @@ def _top_weight(n: tuple[int, ...]) -> int:
     return min(total // 2, total - max(n, default=0))
 
 
-# (rank, product count) of every y-weight product block seen so far,
-# keyed like kernel._BLOCK_KERNELS; see _span_rank.
+# (standard-product rank, product count) of every y-weight product block
+# seen so far, keyed like kernel._BLOCK_KERNELS; see _span_rank.
 _BLOCK_SPANS: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
 
 
@@ -260,7 +260,8 @@ def _span_rank(
     for a lower bound on the span: an entry's rank is that of standard
     products, which are products, so it is at most the rank of the
     all-product block of any content with that key, and those products
-    are constants, so that rank is at most the block's kernel nullity.
+    are constants (delta is a derivation that kills every x_i and u_ij),
+    so that rank is at most the block's kernel nullity.
     The sum is at most dim_kernel, and dim_span == dim_kernel proves that
     the products span the component's kernel.  An enumerator fault can
     fail a true component; it cannot pass a false one.
