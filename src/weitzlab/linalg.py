@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _rowred_py as _core
 
@@ -31,7 +31,6 @@ __all__ = [
     "LinearSolver",
     "integer_nullspace",
     "integer_rank",
-    "primitive_integer_vector",
 ]
 
 
@@ -146,22 +145,3 @@ class LinearSolver:
         scale = v[n] * den
         return [Fraction(e, scale) if e else _ZERO for e in v[:n]]
 
-
-def primitive_integer_vector(v: Iterable[Fraction | int]) -> list[int]:
-    """Scale a rational vector to coprime integers, first nonzero positive."""
-    v = list(v)
-    den = 1
-    for e in v:
-        den = lcm(den, e.denominator)
-    ints = [int(e * den) for e in v]
-    g = 0
-    for e in ints:
-        g = gcd(g, abs(e))
-    if g > 1:
-        ints = [e // g for e in ints]
-    for e in ints:
-        if e != 0:
-            if e < 0:
-                ints = [-x for x in ints]
-            break
-    return ints

@@ -17,9 +17,8 @@ import time
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .derivation import build_chain, delta
-from .kernel import kernel_basis
-from .linalg import integer_rank, primitive_integer_vector
+from .derivation import build_chain
+from .kernel import DeltaImages, integer_delta, kernel_basis
 from .products import ComponentReport, verify_component
 from .tableaux import standard_tableau_count, two_row_partitions
 
@@ -268,40 +267,37 @@ def run_verify_sweep(config: SweepConfig) -> SweepReport:
 def _crosscheck_component(d: int, n: tuple[int, ...]) -> dict:
     """Audit one content: tableau counts vs ranks, equivariance, ladders."""
     from .tensor import (
-        delta_tensor,
-        element_y_coordinates,
         hwv_space_dimension,
-        project_to_polynomial,
-        standard_hwv_basis,
+        position_strides,
+        project,
+        standard_hwv_columns,
     )
 
     start = time.perf_counter()
     total = sum(n)
+    images = DeltaImages(d, n)
+    strides = position_strides(d, n)
     checks = []
     ok = True
     for shape in two_row_partitions(total):
         expected = standard_tableau_count(shape)
         rank_dim = hwv_space_dimension(total, shape)
-        basis = standard_hwv_basis(d, n, shape)
-        constants = all(delta_tensor(w).is_zero for w in basis)
-        rows = [primitive_integer_vector(element_y_coordinates(w)[1]) for w in basis]
-        independent = (
-            integer_rank(rows, len(rows[0])) == len(basis) if basis else True
-        )
+        basis = standard_hwv_columns(total, shape)
+        constants = not any(basis.deltas)
         equivariant = all(
-            project_to_polynomial(delta_tensor(w)) == delta(project_to_polynomial(w))
-            for w in basis
+            project(image, strides) == integer_delta(images, project(column, strides))
+            for column, image in zip(basis.columns, basis.deltas)
         )
-        agree = rank_dim == expected and len(basis) == expected
-        row_ok = agree and constants and independent and equivariant
+        agree = rank_dim == expected and len(basis.columns) == expected
+        row_ok = agree and constants and basis.independent and equivariant
         ok = ok and row_ok
         checks.append(
             {
                 "shape": list(shape),
                 "hwv_rank": rank_dim,
                 "tableau_count": expected,
-                "basis_size": len(basis),
-                "independent": independent,
+                "basis_size": len(basis.columns),
+                "independent": basis.independent,
                 "delta_constant": constants,
                 "projection_equivariant": equivariant,
                 "ok": row_ok,
@@ -324,7 +320,7 @@ def _crosscheck_component(d: int, n: tuple[int, ...]) -> dict:
 
 
 def run_crosscheck(config: SweepConfig) -> SweepReport:
-    """Tensor-count and ladder audit over all contents up to the limit."""
+    """Tensor-count and ladder audit over every multidegree with |n| <= the limit."""
     config.validate()
     start = time.perf_counter()
     degrees = enumerate_multidegrees(

@@ -1,336 +1,131 @@
-"""Tensor words over the letters x_i, y_i and the highest-weight machinery.
+"""Highest weight vectors of V^(x)N as integer columns over y-position masks.
 
-A word is a tuple of letters ("x"|"y", index); an element is an exact
-linear combination of words of one length and one index content.  The
-raising derivation Delta acts per position (y -> x, same index), the
-symmetric group acts from the right by place permutation, and multiplying
-the letters out projects everything onto the commutative component of the
-same content.
+V = K x (+) K y is the GL_2 module spanned by one x and one y letter, and a
+word of V^(x)N is fixed by the set of its y positions.  Indexing the
+letters of a content n in its sorted layout (all 1s, then all 2s, ...)
+makes V^(x)N the multilinear component (1, ..., 1) of K[X_N, Y_N]: the
+word with y positions S sits at position sum(2^(N-1-p) for p in S) of
+component_strides(N, (1,) * N), its mask.  A tensor element is an integer
+column {mask: coefficient}, and the raising derivation Delta (y -> x at
+one position) clears one set bit of a mask.
 
-Highest weight vectors enter through two constructors:
+For a standard two-row tableau T the product of skew pairs
+x (x) y - y (x) x on the position pairs (row1[c], row2[c]) of its
+columns, with x letters on the leftover first-row cells, is the
+place-permuted version of the special highest weight vector: it is
+prod_c u_(row1[c], row2[c]) in the multilinear component, built by
+products._times_u.  standard_hwv_columns builds one column per standard
+tableau of a shape and checks it against Delta and for independence,
+once per (N, shape), since none of that looks at the indices.
 
-* special_hwv builds the product of skew pairs
-  (x_i (x) y_j - y_i (x) x_j) followed by single x letters, with the pairs
-  occupying positions (1, 2), (3, 4), ...;
-* standard_hwv_basis places the skew pairs on the columns of a standard
-  two-row tableau instead, inside the index layout that lists index 1
-  first.  One element per standard tableau gives a basis of the
-  highest-weight space of its shape, which is how tableau counts become a
-  dimension oracle for Delta kernels.
+project multiplies the letters out into the component of n: bit p goes
+to the stride of the index at position p of the sorted layout, so
+projection is linear on positions and crosscheck compares it with the
+component's own delta (kernel.integer_delta).
 
-hwv_space_dimension measures that kernel directly: the matrix of Delta
-from one weight block to the next is built as dense integer rows and
-ranked with linalg.integer_rank.
+hwv_space_dimension measures the Delta kernel directly: the matrix of
+Delta from one weight block to the next is built as dense integer rows
+and ranked with linalg.integer_rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
-from typing import Mapping, Sequence
+from typing import NamedTuple
 
 from .linalg import integer_rank
-from .poly import Monomial, Polynomial
+from .poly import component_strides
+from .products import _times_u
 from .tableaux import standard_tableaux
 
 __all__ = [
-    "Letter",
-    "TensorElement",
-    "delta_tensor",
-    "place_permutation",
-    "PairingPlan",
-    "special_hwv",
-    "standard_hwv_basis",
-    "project_to_polynomial",
-    "sorted_layout",
+    "HwvColumns",
+    "delta_masks",
+    "standard_hwv_columns",
+    "position_strides",
+    "project",
     "hwv_space_dimension",
     "weight_block_words",
-    "element_y_coordinates",
 ]
 
-Letter = tuple[str, int]
-Word = tuple[Letter, ...]
+
+def delta_masks(column: dict[int, int]) -> dict[int, int]:
+    """Delta of a tensor column: each set bit of each mask cleared in turn; zeros dropped."""
+    out: dict[int, int] = {}
+    for mask, c in column.items():
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            out[mask ^ bit] = out.get(mask ^ bit, 0) + c
+            rest ^= bit
+    return {mask: c for mask, c in out.items() if c}
 
 
-def _word_content(word: Word, d: int) -> tuple[int, ...]:
-    counts = [0] * d
-    for kind, idx in word:
-        if kind not in ("x", "y"):
-            raise ValueError(f"bad letter kind {kind!r}")
-        if not 1 <= idx <= d:
-            raise ValueError(f"letter index {idx} out of range 1..{d}")
-        counts[idx - 1] += 1
-    return tuple(counts)
+class HwvColumns(NamedTuple):
+    """The standard highest weight vectors of one shape, and their checks."""
+
+    columns: tuple[dict[int, int], ...]  # one per standard tableau, in its order
+    deltas: tuple[dict[int, int], ...]  # delta_masks of each column
+    independent: bool
 
 
-class TensorElement:
-    """Exact linear combination of same-content tensor words."""
+@lru_cache(maxsize=None)
+def standard_hwv_columns(total: int, shape: tuple[int, int]) -> HwvColumns:
+    """One skew-pair column per standard tableau of shape, in V^(x)total.
 
-    __slots__ = ("d", "content", "terms")
-
-    def __init__(
-        self,
-        d: int,
-        terms: Mapping[Word, Fraction],
-        content: tuple[int, ...] | None = None,
-    ):
-        clean: dict[Word, Fraction] = {}
-        for word, c in terms.items():
-            word = tuple(word)
-            wc = _word_content(word, d)
-            if content is None:
-                content = wc
-            elif wc != content:
-                raise ValueError("mixed-content combination rejected")
-            c = Fraction(c)
-            if c != 0:
-                clean[word] = c
-        if content is None:
-            raise ValueError("an empty element needs an explicit content")
-        if len(content) != d:
-            raise ValueError("content length must equal d")
-        self.d = d
-        self.content = content
-        self.terms = clean
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def length(self) -> int:
-        return sum(self.content)
-
-    def weight(self) -> tuple[int, int] | None:
-        """Common (x-count, y-count) of all words, or None if mixed or zero."""
-        weights = {
-            (sum(1 for k, _ in w if k == "x"), sum(1 for k, _ in w if k == "y"))
-            for w in self.terms
-        }
-        if len(weights) != 1:
-            return None
-        return weights.pop()
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.d != other.d or self.content != other.content:
-            raise ValueError("content mismatch")
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, Fraction(0)) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return TensorElement(self.d, terms, self.content)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> "TensorElement":
-        c = Fraction(scalar)
-        return TensorElement(
-            self.d, {w: c * v for w, v in self.terms.items()}, self.content
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.d == other.d
-            and self.content == other.content
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        def fmt(word: Word) -> str:
-            return "(x)".join(f"{k}{i}" for k, i in word) if word else "1"
-
-        body = " + ".join(f"{c}*{fmt(w)}" for w, c in sorted(self.terms.items()))
-        return f"TensorElement({body or '0'})"
-
-
-def delta_tensor(w: TensorElement) -> TensorElement:
-    """Sum over positions of replacing one y letter by x of the same index."""
-    terms: dict[Word, Fraction] = {}
-    for word, c in w.terms.items():
-        for pos, (kind, idx) in enumerate(word):
-            if kind != "y":
-                continue
-            image = word[:pos] + (("x", idx),) + word[pos + 1 :]
-            s = terms.get(image, Fraction(0)) + c
-            if s:
-                terms[image] = s
-            else:
-                terms.pop(image, None)
-    return TensorElement(w.d, terms, w.content)
-
-
-def place_permutation(w: TensorElement, sigma: Sequence[int]) -> TensorElement:
-    """Right action: slot p of the result takes the letter from slot sigma[p].
-
-    sigma is 0-based.  Applying sigma and then tau equals applying the
-    composite with composite[p] = sigma[tau[p]].
+    The pair on the column (r1, r2) of the tableau is x at r1 and y at r2
+    with sign +, y at r1 and x at r2 with sign -.  deltas holds each
+    column's Delta, which must be zero, and independent says whether the
+    columns have full rank on their weight block.  The cached columns are
+    shared by every caller, who must not change them.
     """
-    n = w.length
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}")
-    terms = {
-        tuple(word[sigma[p]] for p in range(n)): c for word, c in w.terms.items()
-    }
-    return TensorElement(w.d, terms, w.content)
-
-
-@dataclass(frozen=True)
-class PairingPlan:
-    """Placement data for a skew-pair product element.
-
-    pairs[a] = (i, j) puts the skew pair on positions (2a+1, 2a+2) with
-    index i on the left slot and j on the right; singles list the indices
-    of the trailing x letters.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    singles: tuple[int, ...]
-
-    def content(self, d: int) -> tuple[int, ...]:
-        counts = [0] * d
-        for i, j in self.pairs:
-            for idx in (i, j):
-                if not 1 <= idx <= d:
-                    raise ValueError(f"plan index {idx} out of range 1..{d}")
-                counts[idx - 1] += 1
-        for idx in self.singles:
-            if not 1 <= idx <= d:
-                raise ValueError(f"plan index {idx} out of range 1..{d}")
-            counts[idx - 1] += 1
-        return tuple(counts)
-
-
-def _skew_pair_element(
-    d: int,
-    content: tuple[int, ...],
-    layout: Sequence[int],
-    pair_positions: Sequence[tuple[int, int]],
-    single_positions: Sequence[int],
-) -> TensorElement:
-    """Product of skew pairs at given position pairs, x letters elsewhere.
-
-    layout[p] is the variable index at position p; each pair contributes
-    the two words (x, y) with sign + and (y, x) with sign -.
-    """
-    n = len(layout)
-    occupied = sorted(
-        [p for pair in pair_positions for p in pair] + list(single_positions)
+    tableaux = standard_tableaux(shape)  # refuses all but two-row partitions
+    if sum(shape) != total:
+        raise ValueError("shape size must equal the word length")
+    columns = []
+    for tableau in tableaux:
+        column = {0: 1}
+        for r1, r2 in zip(tableau.row1, tableau.row2):
+            column = _times_u(column, 1 << (total - r1), 1 << (total - r2))
+        columns.append(column)
+    masks = sorted({mask for column in columns for mask in column})
+    rows = [[column.get(mask, 0) for column in columns] for mask in masks]
+    return HwvColumns(
+        tuple(columns),
+        tuple(map(delta_masks, columns)),
+        integer_rank(rows, len(columns)) == len(columns),
     )
-    if occupied != list(range(n)):
-        raise ValueError("positions must partition the word slots")
-    terms: dict[Word, Fraction] = {}
-    for flips in product((0, 1), repeat=len(pair_positions)):
-        kinds = ["x"] * n
-        sign = 1
-        for (pa, pb), flip in zip(pair_positions, flips):
-            if flip:
-                kinds[pa] = "y"
-                sign = -sign
-            else:
-                kinds[pb] = "y"
-        word = tuple((kinds[p], layout[p]) for p in range(n))
-        terms[word] = terms.get(word, Fraction(0)) + sign
-    return TensorElement(d, terms, content)
 
 
-def special_hwv(d: int, plan: PairingPlan) -> TensorElement:
-    """Expand the skew-pair product with pairs at positions (1,2), (3,4), ...
+def position_strides(d: int, n: tuple[int, ...]) -> tuple[int, ...]:
+    """The component stride of each letter of the sorted layout of n, in position order."""
+    return tuple(
+        stride for stride, k in zip(component_strides(d, n), n) for _ in range(k)
+    )
 
-    The result is bi-homogeneous of weight (pairs + singles, pairs) and is
-    annihilated by delta_tensor.
+
+def project(column: dict[int, int], strides: tuple[int, ...]) -> dict[int, int]:
+    """Multiply the letters out: a mask goes to the sum of its y positions' strides.
+
+    strides is position_strides(d, n); the result is a column of the
+    component of n, zeros dropped.  Skew pairs with equal indices
+    collapse to zero.
     """
-    content = plan.content(d)
-    layout: list[int] = []
-    for i, j in plan.pairs:
-        layout.extend((i, j))
-    layout.extend(plan.singles)
-    pair_positions = [(2 * a, 2 * a + 1) for a in range(len(plan.pairs))]
-    single_positions = list(range(2 * len(plan.pairs), len(layout)))
-    return _skew_pair_element(d, content, layout, pair_positions, single_positions)
-
-
-def sorted_layout(n: tuple[int, ...]) -> tuple[int, ...]:
-    """The canonical index layout of a content: all 1s, then all 2s, ..."""
-    layout: list[int] = []
-    for idx, count in enumerate(n, start=1):
-        layout.extend([idx] * count)
-    return tuple(layout)
-
-
-def standard_hwv_basis(
-    d: int, n: tuple[int, ...], shape: tuple[int, int]
-) -> list[TensorElement]:
-    """One skew-pair element per standard tableau of the given shape.
-
-    Works inside the canonical index layout of the content n.  For the
-    tableau with rows r1, r2 the skew pairs sit on the position pairs
-    (r1[c], r2[c]) given by its columns and the leftover first-row cells
-    carry plain x letters; this realizes the place-permuted version of the
-    special element for the column-reading permutation of the tableau.
-
-    The returned elements are independent constants of delta_tensor and
-    their count (the standard tableau number) equals the dimension of the
-    whole weight-(shape) kernel, so they form a basis of it.
-    """
-    if len(shape) != 2:
-        raise ValueError("only two-row shapes are supported")
-    if sum(shape) != sum(n):
-        raise ValueError("shape size must equal the content total")
-    layout = sorted_layout(n)
-    out = []
-    for tableau in standard_tableaux(tuple(shape)):
-        pair_positions = [
-            (tableau.row1[c] - 1, tableau.row2[c] - 1) for c in range(shape[1])
-        ]
-        single_positions = [p - 1 for p in tableau.row1[shape[1] :]]
-        out.append(
-            _skew_pair_element(d, tuple(n), layout, pair_positions, single_positions)
-        )
-    return out
-
-
-def project_to_polynomial(w: TensorElement) -> Polynomial:
-    """Multiply the letters of each word out into a commutative monomial.
-
-    Linear over the coefficients; intertwines delta_tensor with the
-    polynomial delta.  Skew pairs with equal indices collapse to zero.
-    """
-    terms: dict[Monomial, Fraction] = {}
-    for word, c in w.terms.items():
-        a = [0] * w.d
-        b = [0] * w.d
-        for kind, idx in word:
-            if kind == "x":
-                a[idx - 1] += 1
-            else:
-                b[idx - 1] += 1
-        m = Monomial(a, b)
-        s = terms.get(m, Fraction(0)) + c
-        if s:
-            terms[m] = s
-        else:
-            terms.pop(m, None)
-    return Polynomial(w.d, terms)
+    top = len(strides) - 1
+    out: dict[int, int] = {}
+    for mask, c in column.items():
+        pos = sum([s for p, s in enumerate(strides) if mask >> (top - p) & 1])
+        out[pos] = out.get(pos, 0) + c
+    return {pos: c for pos, c in out.items() if c}
 
 
 # ------------------------------------------------------------------ rank oracle
 #
 # Inside one index layout a word is determined by its set of y positions,
 # so the weight-(N - q, q) block of an N-letter component has C(N, q)
-# basis words and the matrix of delta_tensor on it depends only on N and
+# basis words and the matrix of Delta on it depends only on N and
 # q.  These helpers expose that block structure for rank computations.
 
 
@@ -340,7 +135,7 @@ def weight_block_words(total: int, q: int) -> list[tuple[int, ...]]:
 
 
 def _delta_block_rows(total: int, q: int) -> list[list[int]]:
-    """delta_tensor from weight block q to block q - 1, as dense integer rows."""
+    """Delta from weight block q to block q - 1, as dense integer rows."""
     source = weight_block_words(total, q)
     target_index = {w: i for i, w in enumerate(weight_block_words(total, q - 1))}
     rows = [[0] * len(source) for _ in target_index]
@@ -352,7 +147,7 @@ def _delta_block_rows(total: int, q: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def hwv_space_dimension(total: int, shape: tuple[int, int]) -> int:
-    """Dimension of the delta_tensor kernel in the weight-(shape) block.
+    """Dimension of the Delta kernel in the weight-(shape) block.
 
     Computed by exact elimination on the block matrix; independent of the
     index content because the derivation never looks at indices.
@@ -364,24 +159,3 @@ def hwv_space_dimension(total: int, shape: tuple[int, int]) -> int:
         return 1
     cols = comb(total, l2)
     return cols - integer_rank(_delta_block_rows(total, l2), cols)
-
-
-def element_y_coordinates(w: TensorElement) -> tuple[int, list[Fraction]]:
-    """Coordinates of a layout-pure bi-homogeneous element over its block.
-
-    Requires every word to live in the canonical sorted layout; returns
-    (q, vector) over weight_block_words(length, q).
-    """
-    layout = sorted_layout(w.content)
-    weight = w.weight()
-    if weight is None:
-        raise ValueError("element is not bi-homogeneous or is zero")
-    q = weight[1]
-    block = {word: i for i, word in enumerate(weight_block_words(w.length, q))}
-    coords = [Fraction(0)] * len(block)
-    for word, c in w.terms.items():
-        if tuple(idx for _k, idx in word) != layout:
-            raise ValueError("element does not live in the sorted layout")
-        positions = tuple(p for p, (k, _i) in enumerate(word) if k == "y")
-        coords[block[positions]] = c
-    return q, coords

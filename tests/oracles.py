@@ -8,7 +8,8 @@ Expected values asserted in the tests are computed with these.  The
 one exception is product_blocks_oracle, the all-product reference for
 the standard-product routes: it multiplies the products out with the
 package's enumerate_products and expand, which the tests check against
-products_oracle and expand_oracle.
+products_oracle and expand_oracle.  The tensor words at the end take
+their tableaux, in order, from weitzlab.tableaux.standard_tableaux.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import combinations, product
 
 from weitzlab.poly import Monomial, PolyParseError, Polynomial, component_basis
 from weitzlab.products import enumerate_products, expand
+from weitzlab.tableaux import standard_tableaux
 
 
 # ------------------------------------------------------------ linear algebra
@@ -304,6 +306,73 @@ def product_blocks_oracle(d: int, n: tuple[int, ...]) -> dict[int, tuple]:
         rows = [[column.get(pos, 0) for column in columns] for pos in positions]
         blocks[q] = (terms, positions, rows)
     return blocks
+
+
+# ------------------------------------------------------------ tensor words
+#
+# The word model of V^(x)N that weitzlab.tensor's mask columns stand for:
+# a word is a tuple of letters ("x" | "y", index), an element a dict
+# {word: coefficient}.
+
+
+def delta_words(w: dict) -> dict:
+    """Sum over positions of replacing one y letter by x of the same index."""
+    out: dict = {}
+    for word, c in w.items():
+        for pos, (kind, idx) in enumerate(word):
+            if kind == "y":
+                image = word[:pos] + (("x", idx),) + word[pos + 1 :]
+                out[image] = out.get(image, 0) + c
+    return {word: c for word, c in out.items() if c}
+
+
+def place_permutation(w: dict, sigma) -> dict:
+    """Right action: slot p of the result takes the letter from slot sigma[p] (0-based)."""
+    out = {}
+    for word, c in w.items():
+        if sorted(sigma) != list(range(len(word))):
+            raise ValueError(f"not a permutation of 0..{len(word) - 1}")
+        out[tuple(word[s] for s in sigma)] = c
+    return out
+
+
+def skew_pair_words(layout: tuple[int, ...], pairs) -> dict:
+    """x (x) y - y (x) x on each position pair (a, b), x letters elsewhere.
+
+    layout[p] is the index of the letter at position p; positions are 0-based.
+    """
+    out = {}
+    for flips in product((0, 1), repeat=len(pairs)):
+        kinds = ["x"] * len(layout)
+        for (a, b), flip in zip(pairs, flips):
+            kinds[a if flip else b] = "y"
+        out[tuple(zip(kinds, layout))] = (-1) ** sum(flips)
+    return out
+
+
+def special_hwv_words(pairs, singles) -> dict:
+    """The special element: skew pairs (i, j) on positions (1, 2), (3, 4), ..., then x letters."""
+    layout = tuple(idx for pair in pairs for idx in pair) + tuple(singles)
+    return skew_pair_words(layout, [(2 * a, 2 * a + 1) for a in range(len(pairs))])
+
+
+def standard_hwv_words(n: tuple[int, ...], shape: tuple[int, int]) -> list[dict]:
+    """One element per standard tableau of shape, in the sorted layout of n.
+
+    The skew pairs sit on the columns (row1[c], row2[c]) of the tableau
+    and x letters on its leftover first-row cells.
+    """
+    layout = tuple(idx for idx, k in enumerate(n, start=1) for _ in range(k))
+    return [
+        skew_pair_words(layout, [(a - 1, b - 1) for a, b in zip(t.row1, t.row2)])
+        for t in standard_tableaux(shape)
+    ]
+
+
+def word_mask(word) -> int:
+    """The y positions of a word as a mask: bit 2^(N-1-p) for a y at position p."""
+    top = len(word) - 1
+    return sum(1 << (top - p) for p, (kind, _) in enumerate(word) if kind == "y")
 
 
 # ------------------------------------------------------------ text format

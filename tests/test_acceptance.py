@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 from weitzlab.cli import main as cli_main
 from weitzlab.derivation import build_chain, delta, delta_star, exp_action
-from weitzlab.kernel import kernel_basis
+from weitzlab.kernel import DeltaImages, integer_delta, kernel_basis
 from weitzlab.poly import Polynomial
 from weitzlab.products import (
     decompose,
@@ -35,11 +35,11 @@ from weitzlab.tableaux import (
     two_row_partitions,
 )
 from weitzlab.tensor import (
-    delta_tensor,
-    element_y_coordinates,
+    delta_masks,
     hwv_space_dimension,
-    project_to_polynomial,
-    standard_hwv_basis,
+    position_strides,
+    project,
+    standard_hwv_columns,
 )
 
 from oracles import random_polynomial, random_rational, rank_oracle
@@ -116,19 +116,22 @@ def test_criterion_3_tensor_oracle():
     for d in (1, 2, 3):
         for n in enumerate_multidegrees(d, 8):
             total = sum(n)
+            images = DeltaImages(d, n)
+            strides = position_strides(d, n)
             for shape in two_row_partitions(total):
                 expected = standard_tableau_count(shape)
                 assert hwv_space_dimension(total, shape) == expected
-                basis = standard_hwv_basis(d, n, shape)
+                basis = standard_hwv_columns(total, shape).columns
                 assert len(basis) == expected
-                for w in basis:
-                    assert delta_tensor(w).is_zero
-                    assert project_to_polynomial(delta_tensor(w)) == delta(
-                        project_to_polynomial(w)
+                for column in basis:
+                    image = delta_masks(column)
+                    assert not image
+                    assert project(image, strides) == integer_delta(
+                        images, project(column, strides)
                     )
-                if basis:
-                    coords = [element_y_coordinates(w)[1] for w in basis]
-                    assert rank_oracle(coords) == len(basis)
+                masks = sorted({mask for column in basis for mask in column})
+                coords = [[column.get(m, 0) for m in masks] for column in basis]
+                assert rank_oracle(coords) == len(basis)
                 checked += 1
     emit(
         f"PASS criterion 3: tensor oracle on {checked} (content, shape) cells: "

@@ -114,6 +114,8 @@ def test_import_loads_only_what_commands_share():
         "assert not loaded, loaded\n"
         "missing = [n for n in weitzlab.__all__ if getattr(weitzlab, n, None) is None]\n"
         "assert not missing, missing\n"
+        "assert 'weitzlab.tensor' not in sys.modules\n"
+        "weitzlab.run_crosscheck(weitzlab.SweepConfig(d=1, tensor_crosscheck_limit=1))\n"
         "assert 'weitzlab.tensor' in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(weitzlab.__file__))

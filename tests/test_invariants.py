@@ -11,7 +11,9 @@ on the standard products, is too slow for this suite; CI checks it
 through the CLI.  The pool digest is the d=4 |n|<=8
 sweep with two workers, each with caches of its own.  The crosscheck digests
 were recorded before the tensor-block rank and the independence check
-moved to integer rows.  golden/kernel.txt holds
+moved to integer rows, the d=3 L=9 tier before the tensor words became
+integer columns over y-position masks; CI checks the d=2 L=12 tier
+through the CLI.  golden/kernel.txt holds
 `weitz kernel` output recorded before the integer component engine
 replaced the Polynomial route, and golden/decompose.txt holds
 `weitz decompose --format json` certificates recorded before the solver's
@@ -66,6 +68,7 @@ CROSSCHECK = [
     (2, 6, 28, "912a55e3a3ec048c122525a8c373ce3890fe90191891d8449035fabede48380e"),
     (3, 4, 35, "c6b76c851ea716e1de138963ea536f314be6a4f4d0ccde1559d8c4af0b2e74d6"),
     (4, 4, 70, "1802571bf1e3100e64e783434d995a9c0f18df788980b0f04f6eebfb16a0874b"),
+    (3, 9, 220, "cb16c1973db522b0bc583d23f4aab33b02abf9bad7dee67466babe2fd5f9b895"),
 ]
 
 CERTIFICATE_DIGEST = "e9a4c2d58a37f9d14ff191f449168478c14937413ad38d75a93b09f82cadc08d"

@@ -17,7 +17,6 @@ from weitzlab.linalg import (
     LinearSolver,
     integer_nullspace,
     integer_rank,
-    primitive_integer_vector,
 )
 
 from oracles import bareiss_oracle, nullspace_oracle, rank_oracle, rref, same_span
@@ -143,7 +142,7 @@ def test_nullspace_matches_oracle_and_annihilates():
         basis = integer_nullspace(copy(rows), k)
         for v in basis:
             assert all(e == 0 for e in mul_vector(rows, v))
-            assert primitive_integer_vector(v) == v
+            assert primitive(v) == v
         expected = nullspace_oracle(rows, k)
         assert len(basis) == len(expected)
         assert same_span(basis, expected)
@@ -221,12 +220,6 @@ def test_solver_matches_rank_oracle():
         assert all(type(e) is Fraction for e in x)
         outcomes["solved"] += 1
     assert min(outcomes.values()) >= 50, outcomes
-
-
-def test_primitive_integer_vector():
-    v = [Fraction(-2, 3), Fraction(4, 3), Fraction(0)]
-    assert primitive_integer_vector(v) == [1, -2, 0]
-    assert primitive_integer_vector([Fraction(0)] * 3) == [0, 0, 0]
 
 
 def test_backend_reported():

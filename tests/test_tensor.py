@@ -1,5 +1,7 @@
-"""Tensor words, the raising derivation, place permutations, and the
-highest-weight constructions with their dimension bookkeeping."""
+"""Tensor words and their mask columns: the raising derivation, place
+permutations, the highest-weight constructions and their dimension
+bookkeeping.  The word model is the reference in oracles.py; the package
+runs on masks of y positions (weitzlab.tensor)."""
 
 import random
 from fractions import Fraction
@@ -7,83 +9,99 @@ from fractions import Fraction
 import pytest
 
 from weitzlab.derivation import delta
-from weitzlab.poly import Polynomial
+from weitzlab.poly import Polynomial, component_basis
+from weitzlab.products import make_u
 from weitzlab.tableaux import standard_tableau_count, standard_tableaux, two_row_partitions
 from weitzlab.tensor import (
-    PairingPlan,
-    TensorElement,
-    delta_tensor,
-    element_y_coordinates,
+    delta_masks,
     hwv_space_dimension,
-    place_permutation,
-    project_to_polynomial,
-    sorted_layout,
-    special_hwv,
-    standard_hwv_basis,
+    position_strides,
+    project,
+    standard_hwv_columns,
     weight_block_words,
 )
 
-from oracles import rank_oracle
+from oracles import (
+    delta_words,
+    place_permutation,
+    rank_oracle,
+    special_hwv_words,
+    standard_hwv_words,
+    word_mask,
+)
 
 
-def word_elem(*letters, d, coeff=1):
-    return TensorElement(d, {tuple(letters): Fraction(coeff)})
+def word_elem(*letters, coeff=1):
+    return {tuple(letters): coeff}
+
+
+def combine(*terms):
+    """Sum of (coefficient, element) pairs, zeros dropped."""
+    out = {}
+    for c, w in terms:
+        for word, v in w.items():
+            out[word] = out.get(word, 0) + c * v
+    return {word: v for word, v in out.items() if v}
+
+
+def to_masks(w):
+    return {word_mask(word): c for word, c in w.items()}
+
+
+def block_masks(total, q):
+    """weight_block_words(total, q) as masks, in the same order."""
+    return [sum(1 << (total - 1 - p) for p in w) for w in weight_block_words(total, q)]
+
+
+def as_polynomial(d, n, vector):
+    basis = component_basis(d, n)
+    return Polynomial(d, {basis[pos]: c for pos, c in vector.items()})
 
 
 def test_delta_tensor_examples():
-    w = word_elem(("y", 1), ("x", 2), d=2)
-    assert delta_tensor(w) == word_elem(("x", 1), ("x", 2), d=2)
+    w = word_elem(("y", 1), ("x", 2))
+    assert delta_words(w) == word_elem(("x", 1), ("x", 2))
+    assert delta_masks({0b10: 1}) == {0b00: 1}
 
-    skew = word_elem(("x", 1), ("y", 2), d=2) - word_elem(("y", 1), ("x", 2), d=2)
-    assert delta_tensor(skew).is_zero
+    skew = combine((1, word_elem(("x", 1), ("y", 2))), (-1, word_elem(("y", 1), ("x", 2))))
+    assert delta_words(skew) == {}
+    assert delta_masks(to_masks(skew)) == {}
 
-    yy = word_elem(("y", 1), ("y", 1), d=1)
-    expected = word_elem(("x", 1), ("y", 1), d=1) + word_elem(("y", 1), ("x", 1), d=1)
-    assert delta_tensor(yy) == expected
-
-
-def test_mixed_content_rejected():
-    with pytest.raises(ValueError):
-        TensorElement(
-            2,
-            {
-                (("x", 1), ("x", 2)): Fraction(1),
-                (("x", 1), ("x", 1)): Fraction(1),
-            },
-        )
+    yy = word_elem(("y", 1), ("y", 1))
+    expected = combine((1, word_elem(("x", 1), ("y", 1))), (1, word_elem(("y", 1), ("x", 1))))
+    assert delta_words(yy) == expected
+    assert delta_masks({0b11: 1}) == {0b01: 1, 0b10: 1}
 
 
 def test_place_permutation_examples():
-    w = word_elem(("x", 1), ("y", 2), d=2)
+    w = word_elem(("x", 1), ("y", 2))
     assert place_permutation(w, (0, 1)) == w
-    assert place_permutation(w, (1, 0)) == word_elem(("y", 2), ("x", 1), d=2)
+    assert place_permutation(w, (1, 0)) == word_elem(("y", 2), ("x", 1))
     with pytest.raises(ValueError):
         place_permutation(w, (0, 0))
     with pytest.raises(ValueError):
         place_permutation(w, (0, 1, 2))
 
 
-def random_element(rng, d, n, terms=3):
-    layouts = []
+def random_element(rng, n, terms=3, sorted_layout=False):
     letters = []
     for idx, count in enumerate(n, start=1):
         letters.extend([idx] * count)
     out = {}
     for _ in range(terms):
         arrangement = letters[:]
-        rng.shuffle(arrangement)
-        word = tuple(
-            (rng.choice("xy"), idx) for idx in arrangement
-        )
+        if not sorted_layout:
+            rng.shuffle(arrangement)
+        word = tuple((rng.choice("xy"), idx) for idx in arrangement)
         out[word] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-    return TensorElement(d, out, tuple(n))
+    return out
 
 
 def test_right_action_law_and_delta_commutes():
     rng = random.Random(31)
     for _ in range(15):
         n = (2, 1)
-        w = random_element(rng, 2, n)
+        w = random_element(rng, n)
         total = sum(n)
         sigma = tuple(rng.sample(range(total), total))
         tau = tuple(rng.sample(range(total), total))
@@ -91,31 +109,46 @@ def test_right_action_law_and_delta_commutes():
         assert place_permutation(place_permutation(w, sigma), tau) == place_permutation(
             w, composed
         )
-        assert delta_tensor(place_permutation(w, sigma)) == place_permutation(
-            delta_tensor(w), sigma
+        assert delta_words(place_permutation(w, sigma)) == place_permutation(
+            delta_words(w), sigma
         )
 
 
 def test_content_conserved():
+    def contents(w):
+        return {tuple(sorted(idx for _, idx in word)) for word in w}
+
     rng = random.Random(33)
-    w = random_element(rng, 3, (1, 2, 1))
-    assert delta_tensor(w).content == w.content
+    w = random_element(rng, (1, 2, 1))
+    assert contents(w) == {(1, 2, 2, 3)}
+    assert contents(delta_words(w)) <= contents(w)
     sigma = tuple(rng.sample(range(4), 4))
-    assert place_permutation(w, sigma).content == w.content
+    assert contents(place_permutation(w, sigma)) == contents(w)
+
+
+def test_delta_masks_is_delta_on_words():
+    # in the sorted layout a word is its mask, and both derivations agree
+    rng = random.Random(32)
+    for n in [(2, 1), (1, 2, 1), (3, 2)]:
+        for _ in range(10):
+            w = random_element(rng, n, terms=4, sorted_layout=True)
+            assert delta_masks(to_masks(w)) == to_masks(delta_words(w))
 
 
 def test_special_hwv_examples():
-    e = special_hwv(2, PairingPlan(pairs=((1, 2),), singles=()))
-    expected = word_elem(("x", 1), ("y", 2), d=2) - word_elem(("y", 1), ("x", 2), d=2)
+    e = special_hwv_words(((1, 2),), ())
+    expected = combine((1, word_elem(("x", 1), ("y", 2))), (-1, word_elem(("y", 1), ("x", 2))))
     assert e == expected
 
-    single = special_hwv(1, PairingPlan(pairs=(), singles=(1, 1)))
-    assert single == word_elem(("x", 1), ("x", 1), d=1)
+    single = special_hwv_words((), (1, 1))
+    assert single == word_elem(("x", 1), ("x", 1))
 
-    e22 = special_hwv(2, PairingPlan(pairs=((1, 2), (1, 2)), singles=()))
-    assert len(e22.terms) == 4
-    assert delta_tensor(e22).is_zero
-    assert e22.weight() == (2, 2)
+    e22 = special_hwv_words(((1, 2), (1, 2)), ())
+    assert len(e22) == 4
+    assert delta_words(e22) == {}
+    assert {(sum(k == "x" for k, _ in w), sum(k == "y" for k, _ in w)) for w in e22} == {
+        (2, 2)
+    }
 
 
 def test_special_hwv_is_constant_and_bihomogeneous():
@@ -124,42 +157,33 @@ def test_special_hwv_is_constant_and_bihomogeneous():
         pair_count = rng.randint(0, 3)
         single_count = rng.randint(0, 2)
         d = 3
-        plan = PairingPlan(
-            pairs=tuple(
-                (rng.randint(1, d), rng.randint(1, d)) for _ in range(pair_count)
-            ),
-            singles=tuple(rng.randint(1, d) for _ in range(single_count)),
+        e = special_hwv_words(
+            tuple((rng.randint(1, d), rng.randint(1, d)) for _ in range(pair_count)),
+            tuple(rng.randint(1, d) for _ in range(single_count)),
         )
-        e = special_hwv(d, plan)
-        assert delta_tensor(e).is_zero
-        assert e.weight() == (pair_count + single_count, pair_count)
+        assert delta_words(e) == {}
+        weights = {(sum(k == "x" for k, _ in w), sum(k == "y" for k, _ in w)) for w in e}
+        assert weights == {(pair_count + single_count, pair_count)}
 
 
 def test_standard_basis_sizes():
-    assert len(standard_hwv_basis(1, (2,), (1, 1))) == 1
-    skew = standard_hwv_basis(1, (2,), (1, 1))[0]
-    assert skew == word_elem(("x", 1), ("y", 1), d=1) - word_elem(("y", 1), ("x", 1), d=1)
+    assert len(standard_hwv_columns(2, (1, 1)).columns) == 1
+    assert standard_hwv_columns(2, (1, 1)).columns[0] == {0b01: 1, 0b10: -1}
 
-    basis21 = standard_hwv_basis(3, (1, 1, 1), (2, 1))
-    assert len(basis21) == 2
-    coords = [element_y_coordinates(w)[1] for w in basis21]
+    basis21 = standard_hwv_columns(3, (2, 1))
+    assert len(basis21.columns) == 2
+    coords = [[column.get(m, 0) for m in block_masks(3, 1)] for column in basis21.columns]
     assert rank_oracle(coords) == 2
+    assert basis21.independent
 
-    assert len(standard_hwv_basis(1, (3,), (3, 0))) == 1
+    assert standard_hwv_columns(3, (3, 0)).columns == ({0: 1},)
 
 
 def test_standard_basis_rejections():
     with pytest.raises(ValueError):
-        standard_hwv_basis(2, (1, 1), (1, 1, 1))  # three rows
+        standard_hwv_columns(3, (1, 1, 1))  # three rows
     with pytest.raises(ValueError):
-        standard_hwv_basis(2, (1, 1), (3, 1))  # size mismatch
-
-
-def test_invalid_plan_rejected():
-    with pytest.raises(ValueError):
-        special_hwv(2, PairingPlan(pairs=((1, 3),), singles=()))
-    with pytest.raises(ValueError):
-        special_hwv(2, PairingPlan(pairs=(), singles=(0,)))
+        standard_hwv_columns(2, (3, 1))  # size mismatch
 
 
 def test_standard_basis_matches_place_permuted_special():
@@ -167,12 +191,9 @@ def test_standard_basis_matches_place_permuted_special():
     # the inverse column-reading permutation (d = 1 so indices are mute)
     for shape in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         n = (sum(shape),)
-        basis = standard_hwv_basis(1, n, shape)
-        base_plan = PairingPlan(
-            pairs=((1, 1),) * shape[1], singles=(1,) * (shape[0] - shape[1])
-        )
-        base = special_hwv(1, base_plan)
-        for tableau, elem in zip(standard_tableaux(shape), basis):
+        basis = standard_hwv_words(n, shape)
+        base = special_hwv_words(((1, 1),) * shape[1], (1,) * (shape[0] - shape[1]))
+        for tableau, elem in zip(standard_tableaux(shape), basis, strict=True):
             sigma = tableau.column_reading_permutation()
             inverse = [0] * len(sigma)
             for pos, value in enumerate(sigma):
@@ -180,24 +201,42 @@ def test_standard_basis_matches_place_permuted_special():
             assert place_permutation(base, tuple(inverse)) == elem
 
 
+def test_mask_columns_are_the_word_basis():
+    # word <-> mask: same elements, same order, same signs
+    for total in range(9):
+        for shape in two_row_partitions(total):
+            words = standard_hwv_words((total,), shape)
+            assert list(standard_hwv_columns(total, shape).columns) == [
+                to_masks(w) for w in words
+            ]
+
+
 def test_projection_examples():
-    u12 = Polynomial.x(1, 2) * Polynomial.y(2, 2) - Polynomial.x(2, 2) * Polynomial.y(1, 2)
-    skew = special_hwv(2, PairingPlan(pairs=((1, 2),), singles=()))
-    assert project_to_polynomial(skew) == u12
+    (skew,) = standard_hwv_columns(2, (1, 1)).columns
+    strides = position_strides(2, (1, 1))
+    assert as_polynomial(2, (1, 1), project(skew, strides)) == make_u(2, 1, 2)
 
-    with_single = special_hwv(3, PairingPlan(pairs=((1, 2),), singles=(3,)))
-    u12_3 = Polynomial.x(1, 3) * Polynomial.y(2, 3) - Polynomial.x(2, 3) * Polynomial.y(1, 3)
-    assert project_to_polynomial(with_single) == u12_3 * Polynomial.x(3, 3)
+    # rows (1, 2 | 3) and (1, 3 | 2): u_13 x_2 and u_12 x_3
+    n = (1, 1, 1)
+    strides = position_strides(3, n)
+    projected = [
+        as_polynomial(3, n, project(column, strides))
+        for column in standard_hwv_columns(3, (2, 1)).columns
+    ]
+    assert projected == [make_u(3, 1, 3) * Polynomial.x(2, 3), make_u(3, 1, 2) * Polynomial.x(3, 3)]
 
-    collapse = special_hwv(1, PairingPlan(pairs=((1, 1),), singles=()))
-    assert project_to_polynomial(collapse).is_zero
+    assert project(skew, position_strides(1, (2,))) == {}  # u_11 collapses
 
 
 def test_projection_equivariance_random():
     rng = random.Random(37)
+    n = (2, 1)
+    strides = position_strides(2, n)
     for _ in range(20):
-        w = random_element(rng, 2, (2, 1))
-        assert project_to_polynomial(delta_tensor(w)) == delta(project_to_polynomial(w))
+        w = to_masks(random_element(rng, n, sorted_layout=True))
+        assert as_polynomial(2, n, project(delta_masks(w), strides)) == delta(
+            as_polynomial(2, n, project(w, strides))
+        )
 
 
 def test_hwv_dimension_equals_tableau_count():
@@ -225,15 +264,16 @@ def test_standard_basis_spans_weight_kernel():
     for n in [(2, 1), (1, 1, 1), (2, 2), (3, 1)]:
         total = sum(n)
         for shape in two_row_partitions(total):
-            basis = standard_hwv_basis(len(n), n, shape)
-            assert all(delta_tensor(w).is_zero for w in basis)
-            coords = [element_y_coordinates(w)[1] for w in basis]
-            if coords:
-                assert rank_oracle(coords) == len(basis)
+            basis = standard_hwv_columns(total, shape).columns
+            assert all(delta_masks(column) == {} for column in basis)
+            masks = block_masks(total, shape[1])
+            coords = [[column.get(m, 0) for m in masks] for column in basis]
+            assert rank_oracle(coords) == len(basis)
             assert len(basis) == hwv_space_dimension(total, shape)
 
 
 def test_weight_block_words_shape():
     assert weight_block_words(3, 0) == [()]
     assert weight_block_words(3, 2) == [(0, 1), (0, 2), (1, 2)]
-    assert sorted_layout((2, 0, 1)) == (1, 1, 3)
+    # the sorted layout of (2, 0, 1) is 1, 1, 3, and index 1 has stride 2
+    assert position_strides(3, (2, 0, 1)) == (2, 2, 1)
