@@ -23,36 +23,30 @@ kernel_blocks eliminates each distinct key once per process.  Its delta
 images come from a DeltaImages, which builds the image of a position on
 first use, so a block whose key is known builds none.
 
-Above the middle weight (2q > |n|) the key (q, min(n_i, q)) belongs to
-one content only.  There a block is read in the divided-power basis
-m_a = x^a y^b / (a! b!), b = n - a, where
-
-    delta(m_a) = sum_i (a_i + 1) m_(a + e_i)    (terms with a_i = n_i drop),
-
-so its positions are the a with sum(a) = p = |n| - q and
-a_i <= min(n_i, p), in the same component order, and the entry a_i + 1
-sits wherever a_i + 1 <= min(n_i, p + 1): x_weight_key(n, q), the
-x-weight p and min(n_i, p + 1), fixes the matrix whatever the y-side
-caps, and many contents share it.  The divided-power matrix is the
-monomial one with row t scaled by a_t! b_t! and column s by
-1 / (a_s! b_s!), both positive.  Nonzero column and row scalings keep
-which columns depend on the ones before them, hence the rank, the pivot
-columns and the order of the echelon nullspace vectors; each vector
-changes by the column scaling alone, so mapped back and made primitive
-it is exactly the monomial basis's vector.
+Above the middle weight (2q > |n|) a block is read off its partner
+q' = |n| - q + 1 below it.  In the divided-power basis
+m_a = x^a y^b / (a! b!), b = n - a, delta has the entries a_i + 1 from
+x-weight q' - 1 to q', so the weight-q block's matrix is the transpose,
+entry for entry under b -> n - b, of the monomial matrix of block q'.  The
+change of basis only scales rows and columns by positive numbers, and
+neither that nor transposing changes the rank, so the upper nullity is
+|W_q| - rank(q') = |W_q| - |W_q'| + nullity(q').  It is 0 (a constant's
+x-weight is at least its y-weight), and such a block is neither
+eliminated nor stored.  The Kostka oracle still checks the upper
+nullities, through the lower ranks.  The self-transposed middle block
+of odd |n| (q' = q) is eliminated like a lower one.
 
 verify calls kernel_blocks on sorted contents only
 (products._content_dimensions), so a cold d=2 |n|<=18 sweep eliminates
-111 distinct blocks among the 1,285 of its 100 sorted contents (387 on
-block_key alone), and a cold d=4 |n|<=8 sweep 106 among 368 (184).
+57 distinct blocks among the 1,285 of its 100 sorted contents, and a
+cold d=4 |n|<=8 sweep 59 among 368.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd, prod
-from operator import mul
+from math import prod
 
 from .linalg import integer_nullspace
 from .poly import Polynomial, component_basis, component_strides
@@ -63,7 +57,6 @@ __all__ = [
     "integer_delta",
     "delta_matrix",
     "block_key",
-    "x_weight_key",
     "kernel_blocks",
     "KernelBasis",
     "kernel_basis",
@@ -131,62 +124,20 @@ def block_key(n: tuple[int, ...], q: int) -> tuple[int, tuple[int, ...]]:
     return q, tuple([k if k < q else q for k in n if k])
 
 
-def x_weight_key(n: tuple[int, ...], q: int) -> tuple[str, int, tuple[int, ...]]:
-    """("x", p, min(c_i, p + 1)) with p = |n| - q: what fixes the divided-power block.
-
-    The "x" tag keeps it apart from block_key's pairs in one table.
-    """
-    p = sum(n) - q
-    return "x", p, tuple([k if k <= p else p + 1 for k in n if k])
-
-
 def _block_rows(
-    images: DeltaImages,
-    source: list[int],
-    target: list[int],
-    radix: tuple[tuple[int, int], ...] | None = None,
+    images: DeltaImages, source: list[int], target: list[int]
 ) -> list[list[int]]:
-    """delta from the positions source to the positions target, as dense rows.
-
-    An entry is the monomial basis's b_i, or, given the component's radix
-    pairs (stride_i, n_i + 1), the divided-power basis's
-    a_i + 1 = n_i - b_i + 1.
-    """
-    tops = None if radix is None else {s: r for s, r in radix if r > 1}
+    """delta from the positions source to the positions target, as dense rows."""
     local = {pos: i for i, pos in enumerate(target)}
     rows = [[0] * len(source) for _ in target]
     for j, pos in enumerate(source):
         for t, e in images[pos]:
-            rows[local[t]][j] = e if tops is None else tops[pos - t] - e
+            rows[local[t]][j] = e
     return rows
 
 
-def _from_divided(
-    vectors: tuple[tuple[int, ...], ...],
-    source: list[int],
-    radix: tuple[tuple[int, int], ...],
-) -> tuple[tuple[int, ...], ...]:
-    """Divided-power kernel vectors over source in the monomial basis.
-
-    m_a = x^a y^b / (a! b!) is prod C(n_i, b_i) / prod n_i! times the
-    monomial, so each coordinate is scaled by prod C(n_i, b_i) (radix
-    pairs (stride_i, n_i + 1) decode b) and the vector made primitive;
-    the scale is positive, so the first nonzero entry stays positive.
-    """
-    if not vectors:
-        return vectors
-    scale = [prod([comb(r - 1, pos // s % r) for s, r in radix]) for pos in source]
-    out = []
-    for v in vectors:
-        w = list(map(mul, v, scale))
-        g = gcd(*w)
-        out.append(tuple([e // g for e in w]))
-    return tuple(out)
-
-
 # Checked kernel vectors of every y-weight block eliminated so far, keyed
-# on block_key, or on x_weight_key in the divided-power basis; see
-# kernel_blocks.
+# on block_key; see kernel_blocks.
 _BLOCK_KERNELS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
@@ -202,40 +153,45 @@ def kernel_blocks(
     order.  Every vector is checked to be a constant.  images is the
     component's DeltaImages when the caller has one.
 
-    A block at or below the middle (2q <= |n|) is eliminated on its
-    monomial matrix and stored on block_key(n, q).  A block above it is
-    eliminated on its divided-power matrix (see the module docstring),
-    stored on x_weight_key(n, q) in divided-power coordinates, and mapped
-    back by _from_divided for every component that reads it, which gives
-    exactly the monomial vectors.  Upper blocks have no kernel (a
-    constant's x-weight is at least its y-weight), but they are
-    eliminated all the same: that is part of what the Kostka oracle is
-    checked against.  A block's entry is stored only once its monomial
-    vectors pass the check; a later block with the same key is not
-    eliminated again, and builds no delta image.
+    A block above the middle whose partner q' = |n| - q + 1 lies below
+    it takes its nullity |W_q| - |W_q'| + nullity(q') by transposition
+    (see the module docstring); when that is 0, as it always is, the
+    block is skipped.  Every other block, the self-transposed middle one
+    of odd |n| included, is eliminated on its monomial matrix and stored
+    on block_key(n, q), and an upper block's eliminated nullity must
+    equal its derived one.  A block's entry is stored only once its
+    checks pass; a later block with the same key is not eliminated
+    again, and builds no delta image.
     """
     images = DeltaImages(d, n) if images is None else images
-    radix = images._radix
     total = sum(n)
     blocks: list[list[int]] = [[] for _ in range(total + 1)]
     for pos, q in enumerate(position_weights(n)):
         blocks[q].append(pos)
+    nullities: list[int] = []
     out = []
     for q, source in enumerate(blocks):
-        upper = 2 * q > total
-        key = x_weight_key(n, q) if upper else block_key(n, q)
+        partner = total - q + 1
+        derived = None
+        if partner < q:
+            derived = len(source) - len(blocks[partner]) + nullities[partner]
+            if not derived:
+                nullities.append(0)
+                continue
+        key = block_key(n, q)
         vectors = _BLOCK_KERNELS.get(key)
         if vectors is None:
             target = blocks[q - 1] if q else []
-            rows = _block_rows(images, source, target, radix if upper else None)
+            rows = _block_rows(images, source, target)
             vectors = tuple(map(tuple, integer_nullspace(rows, len(source))))
-            for v in _from_divided(vectors, source, radix) if upper else vectors:
+            for v in vectors:
                 if integer_delta(images, dict(zip(source, v))):
                     raise AssertionError("kernel vector failed the constancy check")
+            if derived is not None and len(vectors) != derived:
+                raise AssertionError("upper block nullity disagrees with its transpose")
             _BLOCK_KERNELS[key] = vectors
+        nullities.append(len(vectors))
         if vectors:
-            if upper:
-                vectors = _from_divided(vectors, source, radix)
             out.append((q, source, vectors))
     return out
 

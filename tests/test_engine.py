@@ -10,8 +10,7 @@ oracles.product_blocks_oracle does.  The
 engine computes each content once, so the integers it builds for a
 multidegree are checked equal to those of its content, and sweep records
 equal to cold recomputations.  Kernel vectors and span ranks are kept
-per y-weight block on kernel.block_key, or above the middle weight on
-kernel.x_weight_key in the divided-power basis, so the block matrices of
+per y-weight block on kernel.block_key, so the block matrices of
 contents that share a key are checked equal, cold results equal warm
 ones, the table's size after a cold benchmark sweep is pinned, and a
 product block whose key is known is not checked again.  The span is
@@ -23,12 +22,14 @@ contents reach the block tables: every weight block of a content is
 checked equal, through the relabelling of its indices, to that of its
 sorted content, with the same nullities and span numbers, and an
 unsorted component is checked to be computed through its sorted
-content.  Upper blocks
-have no kernel, so the divided-power elimination mapped back to
-monomials is checked against the monomial one on every block, lower
-ones included.  The fault-injection tests corrupt one column or one
-kernel vector on cold caches and require the constancy side checks to
-fire with their usual messages and store nothing.
+content.  An upper
+block's nullity is derived from its partner below the middle: its
+divided-power matrix is checked to be the partner's monomial matrix
+transposed, with the same rank, and the derived nullity 0.  The
+fault-injection tests corrupt one column or one kernel vector on cold
+caches and require the constancy side checks to fire with their usual
+messages and store nothing; a kernel vector dropped below the middle
+must trip the transpose check of its upper partner.
 """
 
 import random
@@ -49,9 +50,8 @@ from weitzlab.kernel import (
     delta_matrix,
     kernel_basis,
     kernel_blocks,
-    x_weight_key,
 )
-from weitzlab.linalg import LinearSolver, integer_nullspace
+from weitzlab.linalg import LinearSolver, integer_rank
 from weitzlab.poly import Polynomial, component_basis, component_content, component_strides
 from weitzlab.products import (
     ConjectureViolation,
@@ -279,40 +279,45 @@ def divided_power_rows(c, source, target, rows):
 
 def test_weight_blocks_are_fixed_by_their_key():
     """Every y-weight block's delta and product matrices depend only on block_key,
-    and above the middle its divided-power matrix depends only on x_weight_key."""
+    and kernel_blocks cuts the same delta rows out of its images."""
     first = {}
-    upper = {}
     spans = {}
-    shared = shared_upper = 0
+    shared = 0
     for c, q, source, target, rows in weight_blocks(((2, 12), (3, 8), (4, 7))):
         if c not in spans:
             spans[c] = {w: block[2] for w, block in product_blocks_oracle(len(c), c).items()}
+        assert kernel._block_rows(DeltaImages(len(c), c), source, target) == rows, (c, q)
         blocks = first.setdefault(block_key(c, q), (rows, spans[c].get(q)))
         assert blocks == (rows, spans[c].get(q)), (c, q)
         shared += blocks[0] is not rows
-        if 2 * q > sum(c):
-            divided = divided_power_rows(c, source, target, rows)
-            images = DeltaImages(len(c), c)
-            assert kernel._block_rows(images, source, target, radix_of(c)) == divided
-            seen = upper.setdefault(x_weight_key(c, q), divided)
-            assert seen == divided, (c, q)
-            shared_upper += seen is not divided
     assert shared > len(first)  # most blocks repeat one seen before
-    assert shared_upper > len(upper)
 
 
-def test_divided_power_kernels_map_back_to_the_monomial_ones():
-    """Every block, below the middle too: the divided-power elimination, mapped
-    back through 1/(a! b!), gives exactly the monomial block's kernel vectors."""
-    blocks = nonempty = 0
+def test_upper_blocks_are_their_partners_transposed():
+    """Above the middle, block q's divided-power matrix is block q' = |c| - q + 1's
+    monomial matrix transposed under b -> n - b, which sends position pos to
+    last - pos; so both blocks have one rank, and the nullity kernel_blocks
+    derives for the upper block, |W_q| - |W_q'| + nullity(q'), is 0."""
+    blocks = {}
     for c, q, source, target, rows in weight_blocks(((2, 14), (3, 9), (4, 7), (5, 6))):
-        monomial = tuple(map(tuple, integer_nullspace(rows, len(source))))
-        divided = kernel._block_rows(DeltaImages(len(c), c), source, target, radix_of(c))
-        vectors = tuple(map(tuple, integer_nullspace(divided, len(source))))
-        assert kernel._from_divided(vectors, source, radix_of(c)) == monomial, (c, q)
-        blocks += 1
-        nonempty += bool(monomial)
-    assert (blocks, nonempty) == (2135, 860)  # over 231 contents
+        blocks[c, q] = source, target, rows
+    checked = 0
+    for (c, q), (source, target, rows) in blocks.items():
+        partner = sum(c) - q + 1
+        if partner >= q:
+            continue
+        p_source, p_target, p_rows = blocks[c, partner]
+        last = prod(k + 1 for k in c) - 1
+        row = {pos: i for i, pos in enumerate(p_target)}
+        col = {pos: j for j, pos in enumerate(p_source)}
+        transposed = [[p_rows[row[last - s]][col[last - t]] for s in source] for t in target]
+        assert divided_power_rows(c, source, target, rows) == transposed, (c, q)
+        rank = integer_rank(p_rows, len(p_source))
+        assert integer_rank(rows, len(source)) == rank, (c, q)
+        nullity = len(p_source) - rank
+        assert len(source) - len(p_source) + nullity == 0, (c, q)
+        checked += 1
+    assert checked == 890  # over 231 contents
 
 
 def test_content_dimensions_equal_cold_and_warm():
@@ -374,28 +379,50 @@ def test_span_blocks_in_the_table_are_not_checked_again(monkeypatch, cold_engine
 
 
 def test_bogus_upper_block_vector_fails_and_stores_nothing(monkeypatch, cold_engine):
-    # (1, 1) has one upper block, y1*y2 at q = 2, the only one with more rows than columns
+    # the one upper block still eliminated is the middle one of odd |n|: for
+    # (1, 1, 1) at q = 2 a square 3x3 block, transposed onto itself
     real = kernel.integer_nullspace
 
     def bogus(rows, cols):
         vectors = real(rows, cols)
-        return vectors + [[1] * cols] if len(rows) > cols else vectors
+        return vectors + [[1] * cols] if len(rows) == cols == 3 else vectors
 
     monkeypatch.setattr(kernel, "integer_nullspace", bogus)
     with pytest.raises(AssertionError, match=KERNEL_CHECK):
-        kernel_blocks(2, (1, 1))
-    assert x_weight_key((1, 1), 2) not in kernel._BLOCK_KERNELS
+        kernel_blocks(3, (1, 1, 1))
+    assert block_key((1, 1, 1), 2) not in kernel._BLOCK_KERNELS
     monkeypatch.undo()
-    assert kernel_blocks(2, (1, 1)) == [(0, [0], ((1,),)), (1, [1, 2], ((1, -1),))]
-    assert kernel._BLOCK_KERNELS[x_weight_key((1, 1), 2)] == ()
+    assert kernel_blocks(3, (1, 1, 1)) == [
+        (0, [0], ((1,),)),
+        (1, [1, 2, 4], ((1, -1, 0), (1, 0, -1))),
+    ]
+    assert kernel._BLOCK_KERNELS[block_key((1, 1, 1), 2)] == ()
+    assert block_key((1, 1, 1), 3) not in kernel._BLOCK_KERNELS  # derived, not eliminated
 
 
-@pytest.mark.parametrize("d,max_degree,entries,spans", [(2, 18, 111, 12), (4, 8, 106, 38)])
+def test_dropped_lower_kernel_vector_fails_the_transpose_check(monkeypatch, cold_engine):
+    # (1, 1) at q = 1 has the one kernel vector x1*y2 - y1*x2; without it the
+    # upper block y1*y2 derives nullity 1 - 2 + 0 and is eliminated, finding 0
+    real = kernel.integer_nullspace
+
+    def dropped(rows, cols):
+        vectors = real(rows, cols)
+        return vectors[:-1] if cols == 2 else vectors
+
+    monkeypatch.setattr(kernel, "integer_nullspace", dropped)
+    with pytest.raises(AssertionError, match=r"^upper block nullity disagrees with its transpose$"):
+        kernel_blocks(2, (1, 1))
+    assert block_key((1, 1), 2) not in kernel._BLOCK_KERNELS
+
+
+@pytest.mark.parametrize("d,max_degree,entries,spans", [(2, 18, 57, 12), (4, 8, 59, 38)])
 def test_block_kernel_table_size_after_a_cold_sweep(d, max_degree, entries, spans, cold_engine):
     """The two benchmark sweeps' distinct kernel and product blocks, sorted contents only.
 
     Eliminating every content's blocks gave 183 and 365 kernel entries
-    (699 and 678 on block_key alone) and 12 and 138 span entries.
+    (699 and 678 on block_key alone) and 12 and 138 span entries; on
+    sorted contents, with upper blocks eliminated in the divided-power
+    basis rather than derived, 111 and 106 kernel entries.
     """
     run_verify_sweep(SweepConfig(d=d, max_total_degree=max_degree))
     assert len(kernel._BLOCK_KERNELS) == entries
