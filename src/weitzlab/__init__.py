@@ -10,10 +10,7 @@ reports success when all three agree, component by component.
 from ._version import __version__
 from .derivation import (
     GL2Element,
-    WeightVectorChain,
-    build_chain,
     delta,
-    delta_star,
     exp_action,
     gl2_action,
     is_constant,
@@ -54,10 +51,7 @@ __all__ = [
     "__version__",
     "BACKEND",
     "GL2Element",
-    "WeightVectorChain",
-    "build_chain",
     "delta",
-    "delta_star",
     "exp_action",
     "gl2_action",
     "is_constant",

@@ -1,14 +1,13 @@
-"""The triangular derivation delta, its opposite, and the group actions.
+"""The triangular derivation delta and the group actions.
 
 delta sends x_i -> 0 and y_i -> x_i and extends by the Leibniz rule; its
 kernel (the algebra of constants) is what the rest of the package
-measures.  delta_star is the opposite lowering map x_i -> y_i, y_i -> 0;
-together they form an sl2 pair whose commutator acts on a bi-homogeneous
-polynomial of bi-weight (p, q) as the scalar p - q.  That structure is
-what makes weight-vector ladders work.
-
-Both derivations act monomial-by-monomial (each image has at most d
-terms), not by substitute-and-subtract.
+measures.  It acts monomial-by-monomial (each image has at most d
+terms), not by substitute-and-subtract.  exp_action and gl2_action are
+the unipotent flow exp(t*delta) and the GL2 substitution of the paper's
+argument, on Polynomials.  The opposite lowering map x_i -> y_i and the
+sl2 ladders it grows are checked on integer vectors
+(kernel.LoweringImages, report._chains_ok).
 """
 
 from __future__ import annotations
@@ -21,14 +20,10 @@ from .poly import Monomial, Polynomial
 
 __all__ = [
     "delta",
-    "delta_star",
     "is_constant",
     "exp_action",
     "GL2Element",
     "gl2_action",
-    "proportionality",
-    "WeightVectorChain",
-    "build_chain",
 ]
 
 
@@ -45,22 +40,6 @@ def delta(f: Polynomial) -> Polynomial:
                 continue
             image = Monomial(_replace(m.a, i, m.a[i] + 1), _replace(m.b, i, bi - 1))
             s = terms.get(image, Fraction(0)) + c * bi
-            if s:
-                terms[image] = s
-            else:
-                terms.pop(image, None)
-    return Polynomial(f.d, terms)
-
-
-def delta_star(f: Polynomial) -> Polynomial:
-    """The opposite derivation: x_i -> y_i, y_i -> 0."""
-    terms: dict[Monomial, Fraction] = {}
-    for m, c in f.terms():
-        for i, ai in enumerate(m.a):
-            if ai == 0:
-                continue
-            image = Monomial(_replace(m.a, i, ai - 1), _replace(m.b, i, m.b[i] + 1))
-            s = terms.get(image, Fraction(0)) + c * ai
             if s:
                 terms[image] = s
             else:
@@ -139,69 +118,3 @@ def exp_action(f: Polynomial, t) -> Polynomial:
     automorphism; constants of delta are exactly its fixed points.
     """
     return gl2_action(GL2Element.unitriangular(t), f)
-
-
-def proportionality(f: Polynomial, g: Polynomial) -> Fraction | None:
-    """The scalar c with f = c*g, or None if f is not a multiple of g != 0."""
-    if g.is_zero:
-        raise ValueError("g must be nonzero")
-    if f.is_zero:
-        return Fraction(0)
-    lead = g.leading_monomial()
-    c = f.coefficient(lead) / g.leading_coefficient()
-    return c if f == g * c else None
-
-
-@dataclass(frozen=True)
-class WeightVectorChain:
-    """A lowering ladder grown from one bi-homogeneous constant.
-
-    ladder[i] is the i-th delta_star image of base; its bi-weight is
-    (p - i, q + i) when base has bi-weight (p, q), and the ladder has
-    exactly p - q + 1 nonzero rungs.  raising_scalars[i-1] is the nonzero
-    c_i with delta(ladder[i]) = c_i * ladder[i-1].
-    """
-
-    base: Polynomial
-    ladder: tuple[Polynomial, ...]
-    weight: tuple[int, int]
-    raising_scalars: tuple[Fraction, ...]
-
-    def __len__(self) -> int:
-        return len(self.ladder)
-
-
-def build_chain(w0: Polynomial) -> WeightVectorChain:
-    """Apply delta_star repeatedly to a bi-homogeneous constant.
-
-    Validates the sl2 ladder shape as it goes: p - q + 1 nonzero rungs,
-    zero immediately after, and delta stepping each rung back to a
-    nonzero multiple of the one before.
-    """
-    if w0.is_zero:
-        raise ValueError("chain base must be nonzero")
-    if not is_constant(w0):
-        raise ValueError("chain base must be a constant of delta")
-    weight = w0.biweight()
-    if weight is None:
-        raise ValueError("chain base must be bi-homogeneous")
-    p, q = weight
-    if p < q:
-        raise ValueError(f"bi-weight ({p}, {q}) cannot head a ladder")
-    length = p - q
-    ladder = [w0]
-    for _ in range(length):
-        ladder.append(delta_star(ladder[-1]))
-    for i, w in enumerate(ladder):
-        if w.is_zero:
-            raise ValueError(f"ladder rung {i} vanished early")
-    beyond = delta_star(ladder[-1])
-    if not beyond.is_zero:
-        raise ValueError("ladder failed to terminate after p - q steps")
-    scalars = []
-    for i in range(1, length + 1):
-        c = proportionality(delta(ladder[i]), ladder[i - 1])
-        if c is None or c == 0:
-            raise ValueError(f"delta does not step rung {i} onto rung {i - 1}")
-        scalars.append(c)
-    return WeightVectorChain(w0, tuple(ladder), (p, q), tuple(scalars))

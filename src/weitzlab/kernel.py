@@ -11,7 +11,9 @@ full to cross-check the block route.
 Everything here runs on integers indexed by component position (see
 poly.component_strides): delta sends x^a y^b to sum_i b_i x^(a+e_i)
 y^(b-e_i), which in component order is the entry b_i at position
-pos - stride_i.  kernel_basis only turns the integer vectors into
+pos - stride_i.  The lowering map x_i -> y_i, which crosscheck's ladder
+check applies (LoweringImages), has the entry a_i = n_i - b_i at
+pos + stride_i.  kernel_basis only turns the integer vectors into
 Polynomials at the end.
 
 A weight-q block sees each exponent only through min(n_i, q): its
@@ -54,6 +56,7 @@ from .poly import Polynomial, component_basis, component_strides
 __all__ = [
     "position_weights",
     "DeltaImages",
+    "LoweringImages",
     "integer_delta",
     "delta_matrix",
     "block_key",
@@ -93,10 +96,26 @@ class DeltaImages(dict):
         return image
 
 
+class LoweringImages(DeltaImages):
+    """The image of every position under x_i -> y_i, y_i -> 0, built on first lookup.
+
+    images[pos] lists a_i at pos + stride_i for every i with a_i > 0,
+    where a_i = n_i - b_i; integer_delta applies it like delta.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, pos: int) -> list[tuple[int, int]]:
+        image = self[pos] = [
+            (pos + s, a) for s, r in self._radix if (a := r - 1 - pos // s % r)
+        ]
+        return image
+
+
 def integer_delta(
     images: list[list[tuple[int, int]]], vector: dict[int, int]
 ) -> dict[int, int]:
-    """delta of a component vector {position: coefficient}; zeros dropped."""
+    """The images' map on a component vector {position: coefficient}; zeros dropped."""
     out: dict[int, int] = {}
     for pos, c in vector.items():
         for target, e in images[pos]:

@@ -8,17 +8,22 @@ Expected values asserted in the tests are computed with these.  The
 one exception is product_blocks_oracle, the all-product reference for
 the standard-product routes: it multiplies the products out with the
 package's enumerate_products and expand, which the tests check against
-products_oracle and expand_oracle.  The tensor words at the end take
-their tableaux, in order, from weitzlab.tableaux.standard_tableaux.
+products_oracle and expand_oracle.  The sl2 ladders are the Fraction
+reference for the package's integer ladder check: they lower with
+delta_star here and raise with the package's Polynomial delta.  The
+tensor words at the end take their tableaux, in order, from
+weitzlab.tableaux.standard_tableaux.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from weitzlab.derivation import delta, is_constant
 from weitzlab.poly import Monomial, PolyParseError, Polynomial, component_basis
 from weitzlab.products import enumerate_products, expand
 from weitzlab.tableaux import standard_tableaux
@@ -306,6 +311,97 @@ def product_blocks_oracle(d: int, n: tuple[int, ...]) -> dict[int, tuple]:
         rows = [[column.get(pos, 0) for column in columns] for pos in positions]
         blocks[q] = (terms, positions, rows)
     return blocks
+
+
+# ------------------------------------------------------------ sl2 ladders
+#
+# The Fraction reference for report._chains_ok, on Polynomials.
+
+
+def _replace(exponents: tuple[int, ...], i: int, value: int) -> tuple[int, ...]:
+    return exponents[:i] + (value,) + exponents[i + 1 :]
+
+
+def delta_star(f: Polynomial) -> Polynomial:
+    """The opposite derivation: x_i -> y_i, y_i -> 0."""
+    terms: dict[Monomial, Fraction] = {}
+    for m, c in f.terms():
+        for i, ai in enumerate(m.a):
+            if ai == 0:
+                continue
+            image = Monomial(_replace(m.a, i, ai - 1), _replace(m.b, i, m.b[i] + 1))
+            s = terms.get(image, Fraction(0)) + c * ai
+            if s:
+                terms[image] = s
+            else:
+                terms.pop(image, None)
+    return Polynomial(f.d, terms)
+
+
+def proportionality(f: Polynomial, g: Polynomial) -> Fraction | None:
+    """The scalar c with f = c*g, or None if f is not a multiple of g != 0."""
+    if g.is_zero:
+        raise ValueError("g must be nonzero")
+    if f.is_zero:
+        return Fraction(0)
+    lead = g.leading_monomial()
+    c = f.coefficient(lead) / g.leading_coefficient()
+    return c if f == g * c else None
+
+
+@dataclass(frozen=True)
+class WeightVectorChain:
+    """A lowering ladder grown from one bi-homogeneous constant.
+
+    ladder[i] is the i-th delta_star image of base; its bi-weight is
+    (p - i, q + i) when base has bi-weight (p, q), and the ladder has
+    exactly p - q + 1 nonzero rungs.  raising_scalars[i-1] is the nonzero
+    c_i with delta(ladder[i]) = c_i * ladder[i-1].
+    """
+
+    base: Polynomial
+    ladder: tuple[Polynomial, ...]
+    weight: tuple[int, int]
+    raising_scalars: tuple[Fraction, ...]
+
+    def __len__(self) -> int:
+        return len(self.ladder)
+
+
+def build_chain(w0: Polynomial) -> WeightVectorChain:
+    """Apply delta_star repeatedly to a bi-homogeneous constant.
+
+    Validates the sl2 ladder shape as it goes: p - q + 1 nonzero rungs,
+    zero immediately after, and delta stepping each rung back to a
+    nonzero multiple of the one before.
+    """
+    if w0.is_zero:
+        raise ValueError("chain base must be nonzero")
+    if not is_constant(w0):
+        raise ValueError("chain base must be a constant of delta")
+    weight = w0.biweight()
+    if weight is None:
+        raise ValueError("chain base must be bi-homogeneous")
+    p, q = weight
+    if p < q:
+        raise ValueError(f"bi-weight ({p}, {q}) cannot head a ladder")
+    length = p - q
+    ladder = [w0]
+    for _ in range(length):
+        ladder.append(delta_star(ladder[-1]))
+    for i, w in enumerate(ladder):
+        if w.is_zero:
+            raise ValueError(f"ladder rung {i} vanished early")
+    beyond = delta_star(ladder[-1])
+    if not beyond.is_zero:
+        raise ValueError("ladder failed to terminate after p - q steps")
+    scalars = []
+    for i in range(1, length + 1):
+        c = proportionality(delta(ladder[i]), ladder[i - 1])
+        if c is None or c == 0:
+            raise ValueError(f"delta does not step rung {i} onto rung {i - 1}")
+        scalars.append(c)
+    return WeightVectorChain(w0, tuple(ladder), (p, q), tuple(scalars))
 
 
 # ------------------------------------------------------------ tensor words

@@ -14,9 +14,9 @@ from itertools import combinations
 from click.testing import CliRunner
 
 from weitzlab.cli import main as cli_main
-from weitzlab.derivation import build_chain, delta, delta_star, exp_action
+from weitzlab.derivation import delta, exp_action
 from weitzlab.kernel import DeltaImages, integer_delta, kernel_basis
-from weitzlab.poly import Polynomial
+from weitzlab.poly import Polynomial, component_content
 from weitzlab.products import (
     decompose,
     enumerate_products,
@@ -26,7 +26,7 @@ from weitzlab.products import (
     span_dimension,
     verify_component,
 )
-from weitzlab.report import enumerate_multidegrees, strip_timing
+from weitzlab.report import _chains_ok, enumerate_multidegrees, strip_timing
 from weitzlab.tableaux import (
     dimension_identity_check,
     kostka,
@@ -42,7 +42,7 @@ from weitzlab.tensor import (
     standard_hwv_columns,
 )
 
-from oracles import random_polynomial, random_rational, rank_oracle
+from oracles import build_chain, delta_star, random_polynomial, random_rational, rank_oracle
 
 SWEEP_BOXES = ((1, 8), (2, 8), (3, 6), (4, 6))
 
@@ -141,9 +141,17 @@ def test_criterion_3_tensor_oracle():
 
 
 def test_criterion_4_ladders():
+    """The integer ladder check, and the Fraction reference on the same vectors.
+
+    Every sorted content c of the box is itself a component (len(c), c)
+    of the box, so the reference walks every vector the check does.
+    """
+    contents = {tuple(sorted(component_content(d, n))) for d, n in sweep_components()}
+    for c in contents:
+        assert _chains_ok(c), c
     chains = 0
     for d, n in sweep_components():
-        for w0 in kernel_basis(d, n).vectors:
+        for w0 in kernel_basis(d, n).vectors:  # kernel_blocks' vectors as Polynomials
             p, q = w0.biweight()
             chain = build_chain(w0)  # validates rung count and termination
             assert len(chain.ladder) == p - q + 1
@@ -151,12 +159,13 @@ def test_criterion_4_ladders():
             assert delta_star(chain.ladder[-1]).is_zero
             for i in range(1, len(chain.ladder)):
                 c = chain.raising_scalars[i - 1]
-                assert c != 0
+                assert c == i * (p - q - i + 1)
                 assert delta(chain.ladder[i]) == c * chain.ladder[i - 1]
             chains += 1
     emit(
-        f"PASS criterion 4: {chains} lowering ladders with exact rung counts "
-        "and nonzero raising scalars"
+        f"PASS criterion 4: integer ladder check on {len(contents)} sorted "
+        f"contents; {chains} Fraction reference ladders with exact rung counts "
+        "and raising scalars i*(p-q-i+1)"
     )
 
 

@@ -1,4 +1,7 @@
-"""The derivation pair, the unipotent flow, the GL2 action, and ladders."""
+"""The derivation pair, the unipotent flow, the GL2 action, and ladders.
+
+delta_star and the ladders are the Fraction reference in tests/oracles.py.
+"""
 
 import random
 from fractions import Fraction
@@ -6,19 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from weitzlab.derivation import (
-    GL2Element,
-    build_chain,
-    delta,
-    delta_star,
-    exp_action,
-    gl2_action,
-    is_constant,
-    proportionality,
-)
+from weitzlab.derivation import GL2Element, delta, exp_action, gl2_action, is_constant
 from weitzlab.poly import Polynomial
 
-from oracles import random_polynomial, random_rational
+from oracles import (
+    build_chain,
+    delta_star,
+    proportionality,
+    random_polynomial,
+    random_rational,
+)
 
 from test_poly import poly_strategy
 

@@ -29,7 +29,11 @@ transposed, with the same rank, and the derived nullity 0.  The
 fault-injection tests corrupt one column or one kernel vector on cold
 caches and require the constancy side checks to fire with their usual
 messages and store nothing; a kernel vector dropped below the middle
-must trip the transpose check of its upper partner.
+must trip the transpose check of its upper partner.  The integer
+lowering map is checked against oracles.delta_star on every position,
+and a lowering with a wrong coefficient, one that drops every rung or
+one whose string never ends must fail crosscheck's ladder check, its
+row and the command's exit code.
 """
 
 import random
@@ -41,11 +45,12 @@ from operator import mul
 import pytest
 from click.testing import CliRunner
 
-from weitzlab import kernel, products
+from weitzlab import kernel, products, report
 from weitzlab.derivation import delta
 from weitzlab.cli import main
 from weitzlab.kernel import (
     DeltaImages,
+    LoweringImages,
     block_key,
     delta_matrix,
     kernel_basis,
@@ -68,7 +73,13 @@ from weitzlab.products import (
 from weitzlab.report import SweepConfig, enumerate_multidegrees, run_verify_sweep
 from weitzlab.tableaux import kostka_numbers
 
-from oracles import delta_table, expand_oracle, product_blocks_oracle, span_dim_of_polys
+from oracles import (
+    delta_star,
+    delta_table,
+    expand_oracle,
+    product_blocks_oracle,
+    span_dim_of_polys,
+)
 from test_invariants import certificate_inputs, golden_kernel_runs
 
 COMPONENTS = [(d, n) for d in range(1, 5) for n in enumerate_multidegrees(d, 5)]
@@ -105,6 +116,15 @@ def test_lazy_delta_images_match_delta_table():
             for pos in reversed(range(len(images))):  # any order of first use
                 assert lazy[pos] == images[pos], (n, pos)
             assert len(lazy) == len(images)
+
+
+def test_lowering_images_match_delta_star():
+    for d in range(1, 4):
+        for n in enumerate_multidegrees(d, 6):
+            lowering = LoweringImages(d, n)
+            for pos, m in enumerate(component_basis(d, n)):
+                image = delta_star(Polynomial.from_monomial(m))
+                assert dict(lowering[pos]) == as_column(image, d, n), (n, pos)
 
 
 def test_span_rank_matches_standard_count():
@@ -528,3 +548,62 @@ def test_golden_kernel_output_cold_and_warm():
         clear_engine()
         for _ in range(2):  # the second run reads the block table
             assert CliRunner().invoke(main, args).output == expected
+
+
+class OffByOneLowering(LoweringImages):
+    """The lowering map with the coefficient a_i + 1 in place of a_i."""
+
+    __slots__ = ()
+
+    def __missing__(self, pos):
+        image = self[pos] = [(t, a + 1) for t, a in super().__missing__(pos)]
+        return image
+
+
+def drop_rungs(monkeypatch):
+    real = report.integer_delta
+
+    def dropping(images, vector):
+        return {} if isinstance(images, LoweringImages) else real(images, vector)
+
+    monkeypatch.setattr(report, "integer_delta", dropping)
+
+
+def never_end(monkeypatch):
+    real = report.integer_delta
+
+    def endless(images, vector):
+        image = real(images, vector)
+        if isinstance(images, LoweringImages) and not image:
+            return dict(vector)
+        return image
+
+    monkeypatch.setattr(report, "integer_delta", endless)
+
+
+@pytest.fixture
+def cold_ladders():
+    """Empty the ladder cache, so that a corrupted lowering actually runs."""
+    report._chains_ok.cache_clear()
+    yield
+    report._chains_ok.cache_clear()
+
+
+@pytest.mark.parametrize("fault", ["lowering off by one", "rungs dropped", "no last rung"])
+def test_a_broken_ladder_fails_crosscheck(monkeypatch, cold_ladders, fault):
+    # (1, 1) holds x1*x2, whose string has the rungs x1*x2, x1*y2 + y1*x2, 2*y1*y2
+    if fault == "rungs dropped":
+        drop_rungs(monkeypatch)
+    elif fault == "no last rung":
+        never_end(monkeypatch)
+    else:
+        monkeypatch.setattr(report, "LoweringImages", OffByOneLowering)
+    row = report._crosscheck_component(2, (1, 1))
+    assert not row["chains_ok"] and not row["ok"]
+    assert all(check["ok"] for check in row["checks"])
+    assert report.run_crosscheck(SweepConfig(d=2, tensor_crosscheck_limit=2)).violations >= 1
+    result = CliRunner().invoke(main, ["crosscheck", "--d", "2", "--limit", "2"])
+    assert result.exit_code == 1
+    monkeypatch.undo()
+    report._chains_ok.cache_clear()
+    assert report._crosscheck_component(2, (1, 1))["chains_ok"]

@@ -12,8 +12,10 @@ through the CLI.  The pool digest is the d=4 |n|<=8
 sweep with two workers, each with caches of its own.  The crosscheck digests
 were recorded before the tensor-block rank and the independence check
 moved to integer rows, the d=3 L=9 tier before the tensor words became
-integer columns over y-position masks; CI checks the d=2 L=12 tier
-through the CLI.  golden/kernel.txt holds
+integer columns over y-position masks, and the d=4 L=8 tier before the
+ladder check moved from Fraction Polynomials to integer vectors, once
+per sorted content; CI checks the d=2 L=12 and d=3 L=10 tiers through
+the CLI.  golden/kernel.txt holds
 `weitz kernel` output recorded before the integer component engine
 replaced the Polynomial route, and golden/decompose.txt holds
 `weitz decompose --format json` certificates recorded before the solver's
@@ -69,6 +71,7 @@ CROSSCHECK = [
     (3, 4, 35, "c6b76c851ea716e1de138963ea536f314be6a4f4d0ccde1559d8c4af0b2e74d6"),
     (4, 4, 70, "1802571bf1e3100e64e783434d995a9c0f18df788980b0f04f6eebfb16a0874b"),
     (3, 9, 220, "cb16c1973db522b0bc583d23f4aab33b02abf9bad7dee67466babe2fd5f9b895"),
+    (4, 8, 495, "2f9ad010da3d1e9395ca5edfdcac36d9c9bd7e1bda1b9c42ab36a2027968c077"),
 ]
 
 CERTIFICATE_DIGEST = "e9a4c2d58a37f9d14ff191f449168478c14937413ad38d75a93b09f82cadc08d"
