@@ -15,12 +15,11 @@ from .derivation import (
     gl2_action,
     is_constant,
 )
-from .kernel import KernelBasis, delta_matrix, kernel_basis
+from .kernel import KernelBasis, kernel_basis
 from .linalg import BACKEND, LinearSolver
 from .poly import (
     Monomial,
     Polynomial,
-    Rational,
     component_basis,
     format_poly,
     parse_poly,
@@ -56,12 +55,10 @@ __all__ = [
     "gl2_action",
     "is_constant",
     "KernelBasis",
-    "delta_matrix",
     "kernel_basis",
     "LinearSolver",
     "Monomial",
     "Polynomial",
-    "Rational",
     "component_basis",
     "format_poly",
     "parse_poly",

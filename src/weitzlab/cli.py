@@ -67,20 +67,16 @@ def main():
               show_default=True, help="Bound on the total multidegree |n|.")
 @click.option("--cap", type=click.IntRange(min=0), default=None,
               help="Optional bound on each individual n_i.")
-@click.option("--parallelism", type=click.IntRange(min=1), default=1,
-              envvar="WEITZ_PARALLELISM", show_default=True,
-              help="Size of the component work pool.")
 @click.option("--format", "output_format", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
 @click.option("--out", "output_path", default="-", show_default=True,
               help="Report path, or - for stdout.")
-def verify(d, max_degree, cap, parallelism, output_format, output_path):
+def verify(d, max_degree, cap, output_format, output_path):
     """Check kernel = product span = tableau count on every component."""
     config = SweepConfig(
         d=d,
         max_total_degree=max_degree,
         per_index_cap=cap,
-        parallelism=parallelism,
         output_format=output_format,
         output_path=output_path,
     )

@@ -4,9 +4,7 @@ delta preserves every multidegree component, so its kernel is computed
 component by component.  Within a component delta only connects adjacent
 bi-weight blocks, (p, q) -> (p + 1, q - 1); the kernel therefore splits as
 the direct sum of per-block kernels and each block gives a much smaller
-elimination than the whole component.  delta_matrix is the whole
-component's matrix as dense integer rows; the test suite eliminates it in
-full to cross-check the block route.
+elimination than the whole component.
 
 Everything here runs on integers indexed by component position (see
 poly.component_strides): delta sends x^a y^b to sum_i b_i x^(a+e_i)
@@ -48,17 +46,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 
 from .linalg import integer_nullspace
 from .poly import Polynomial, component_basis, component_strides
 
 __all__ = [
     "position_weights",
+    "positions_by_weight",
     "DeltaImages",
     "LoweringImages",
     "integer_delta",
-    "delta_matrix",
     "block_key",
     "kernel_blocks",
     "KernelBasis",
@@ -72,6 +69,14 @@ def position_weights(n: tuple[int, ...]) -> list[int]:
     for k in n:
         weights = [w + e for w in weights for e in range(k + 1)]
     return weights
+
+
+def positions_by_weight(n: tuple[int, ...]) -> list[list[int]]:
+    """The positions of component n grouped by y-weight: entry q lists W_q ascending."""
+    blocks: list[list[int]] = [[] for _ in range(sum(n) + 1)]
+    for pos, q in enumerate(position_weights(n)):
+        blocks[q].append(pos)
+    return blocks
 
 
 class DeltaImages(dict):
@@ -123,21 +128,6 @@ def integer_delta(
     return {pos: c for pos, c in out.items() if c}
 
 
-def delta_matrix(d: int, n: tuple[int, ...]) -> list[list[int]]:
-    """Matrix of delta on the multidegree-n component, as dense integer rows.
-
-    Rows and columns are both indexed by component_basis(d, n) in
-    canonical order; column j holds the image of the j-th basis monomial.
-    """
-    images = DeltaImages(d, n)
-    size = prod(k + 1 for k in n)
-    rows = [[0] * size for _ in range(size)]
-    for j in range(size):
-        for t, e in images[j]:
-            rows[t][j] = e
-    return rows
-
-
 def block_key(n: tuple[int, ...], q: int) -> tuple[int, tuple[int, ...]]:
     """(q, min(c_i, q) for the content c of n): what fixes n's weight-q blocks."""
     return q, tuple([k if k < q else q for k in n if k])
@@ -184,9 +174,7 @@ def kernel_blocks(
     """
     images = DeltaImages(d, n) if images is None else images
     total = sum(n)
-    blocks: list[list[int]] = [[] for _ in range(total + 1)]
-    for pos, q in enumerate(position_weights(n)):
-        blocks[q].append(pos)
+    blocks = positions_by_weight(n)
     nullities: list[int] = []
     out = []
     for q, source in enumerate(blocks):

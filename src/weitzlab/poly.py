@@ -36,10 +36,7 @@ from itertools import product
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Monomial",
     "Polynomial",
     "component_basis",

@@ -43,7 +43,7 @@ class SweepConfig:
     max_total_degree: int = 4
     per_index_cap: int | None = None
     tensor_crosscheck_limit: int = 4
-    parallelism: int = 1
+    parallelism: int = 1  # echoed in every digest; sweeps run serially
     output_path: str = "-"
     output_format: str = "json"
 
@@ -56,8 +56,8 @@ class SweepConfig:
             raise ValueError("per-index cap must be nonnegative")
         if self.tensor_crosscheck_limit < 0:
             raise ValueError("tensor crosscheck limit must be nonnegative")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
+        if self.parallelism != 1:
+            raise ValueError("sweeps run serially: parallelism must be 1")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -91,11 +91,6 @@ def enumerate_multidegrees(
     for total in range(max_total + 1):
         out.extend(_compositions(total, d, total if cap is None else cap))
     return out
-
-
-def _verify_job(args: tuple[int, tuple[int, ...]]) -> ComponentReport:
-    d, n = args
-    return verify_component(d, n)
 
 
 @dataclass
@@ -239,25 +234,20 @@ def strip_timing(report: dict) -> dict:
 
 
 def run_verify_sweep(config: SweepConfig) -> SweepReport:
-    """verify_component over every multidegree in the configured box."""
+    """verify_component over every multidegree in the configured box, serially.
+
+    verify_component is read as this module's global on every call, so
+    rebinding report.verify_component (as perfbench's tracer does) takes
+    effect.
+    """
     config.validate()
     start = time.perf_counter()
     degrees = enumerate_multidegrees(
         config.d, config.max_total_degree, config.per_index_cap
     )
-    jobs = [(config.d, n) for n in degrees]
-    if config.parallelism > 1 and len(jobs) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.parallelism
-        ) as pool:
-            components = list(pool.map(_verify_job, jobs, chunksize=8))
-    else:
-        components = [_verify_job(job) for job in jobs]
     return SweepReport(
         config=config,
-        components=components,
+        components=[verify_component(config.d, n) for n in degrees],
         total_seconds=time.perf_counter() - start,
     )
 

@@ -23,18 +23,20 @@ to the stride of the index at position p of the sorted layout, so
 projection is linear on positions and crosscheck compares it with the
 component's own delta (kernel.integer_delta).
 
-hwv_space_dimension measures the Delta kernel directly: the matrix of
-Delta from one weight block to the next is built as dense integer rows
-and ranked with linalg.integer_rank.
+hwv_space_dimension measures the Delta kernel directly.  Masks are the
+positions of the multilinear component, and Delta is its delta, so the
+matrix of Delta from the masks with q set bits to those with q - 1 is
+kernel's weight-q block of (1, ..., 1): kernel._block_rows between
+kernel.positions_by_weight blocks, in mask order, ranked with
+linalg.integer_rank.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
+from .kernel import DeltaImages, _block_rows, positions_by_weight
 from .linalg import integer_rank
 from .poly import component_strides
 from .products import _times_u
@@ -47,7 +49,6 @@ __all__ = [
     "position_strides",
     "project",
     "hwv_space_dimension",
-    "weight_block_words",
 ]
 
 
@@ -121,41 +122,21 @@ def project(column: dict[int, int], strides: tuple[int, ...]) -> dict[int, int]:
     return {pos: c for pos, c in out.items() if c}
 
 
-# ------------------------------------------------------------------ rank oracle
-#
-# Inside one index layout a word is determined by its set of y positions,
-# so the weight-(N - q, q) block of an N-letter component has C(N, q)
-# basis words and the matrix of Delta on it depends only on N and
-# q.  These helpers expose that block structure for rank computations.
-
-
-def weight_block_words(total: int, q: int) -> list[tuple[int, ...]]:
-    """y-position sets of the q-th weight block, in lexicographic order."""
-    return [tuple(c) for c in combinations(range(total), q)]
-
-
-def _delta_block_rows(total: int, q: int) -> list[list[int]]:
-    """Delta from weight block q to block q - 1, as dense integer rows."""
-    source = weight_block_words(total, q)
-    target_index = {w: i for i, w in enumerate(weight_block_words(total, q - 1))}
-    rows = [[0] * len(source) for _ in target_index]
-    for j, positions in enumerate(source):
-        for p in positions:
-            rows[target_index[tuple(t for t in positions if t != p)]][j] += 1
-    return rows
-
-
 @lru_cache(maxsize=None)
 def hwv_space_dimension(total: int, shape: tuple[int, int]) -> int:
-    """Dimension of the Delta kernel in the weight-(shape) block.
+    """Dimension of the Delta kernel in the weight-(shape) block of V^(x)total.
 
-    Computed by exact elimination on the block matrix; independent of the
-    index content because the derivation never looks at indices.
+    |W_l2| less the rank of Delta from W_l2 to W_(l2 - 1), the weight
+    blocks of the multilinear component; independent of the index
+    content because the derivation never looks at indices.
     """
     l1, l2 = shape
     if l1 + l2 != total:
         raise ValueError("shape size must equal the word length")
     if l2 == 0:
         return 1
-    cols = comb(total, l2)
-    return cols - integer_rank(_delta_block_rows(total, l2), cols)
+    ones = (1,) * total
+    blocks = positions_by_weight(ones)
+    source = blocks[l2]
+    rows = _block_rows(DeltaImages(total, ones), source, blocks[l2 - 1])
+    return len(source) - integer_rank(rows, len(source))

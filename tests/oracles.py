@@ -292,6 +292,21 @@ def delta_table(
     return [sum(b) for b in exponents], images
 
 
+def delta_matrix(d: int, n: tuple[int, ...]) -> list[list[int]]:
+    """Matrix of delta on the multidegree-n component, as dense integer rows.
+
+    Rows and columns are both indexed by component_basis(d, n) in
+    canonical order; column j holds the image of the j-th basis monomial,
+    read off delta_table.
+    """
+    _, images = delta_table(d, n)
+    rows = [[0] * len(images) for _ in images]
+    for j, image in enumerate(images):
+        for t, e in image:
+            rows[t][j] = e
+    return rows
+
+
 def product_blocks_oracle(d: int, n: tuple[int, ...]) -> dict[int, tuple]:
     """(terms, positions, rows) of every y-weight block of the products of n.
 

@@ -97,16 +97,14 @@ def test_verify_unwritable_path_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
-def test_verify_parallelism_env_default(runner, monkeypatch):
-    monkeypatch.setenv("WEITZ_PARALLELISM", "2")
-    result = runner.invoke(main, ["verify", "--d", "1", "--max-degree", "2"])
-    assert result.exit_code == 0
-    report = json.loads(result.output)
-    assert report["config"]["parallelism"] == 2
+def test_verify_has_no_parallelism_option(runner):
+    result = runner.invoke(main, ["verify", "--d", "1", "--parallelism", "2"])
+    assert result.exit_code == 2
 
 
 def test_import_loads_only_what_commands_share():
-    # crosscheck, the pool and CSV output import these on first use
+    # crosscheck and CSV output import these on first use; nothing imports
+    # concurrent.futures since sweeps run serially
     code = (
         "import sys, weitzlab\n"
         "lazy = ['weitzlab.tensor', 'concurrent.futures', 'logging', 'csv']\n"
@@ -328,9 +326,7 @@ def test_crosscheck_d3_limit6_includes_222(runner):
     assert shapes[(3, 3)]["hwv_rank"] == shapes[(3, 3)]["tableau_count"] == 5
 
 
-def test_parallel_sweep_matches_serial():
-    serial = run_verify_sweep(SweepConfig(d=2, max_total_degree=3, parallelism=1))
-    parallel = run_verify_sweep(SweepConfig(d=2, max_total_degree=3, parallelism=2))
-    assert strip_timing(serial.to_dict())["components"] == strip_timing(
-        parallel.to_dict()
-    )["components"]
+def test_sweep_config_refuses_parallelism():
+    # the field is only echoed in reports; sweeps run serially
+    with pytest.raises(ValueError):
+        SweepConfig(d=2, parallelism=2).validate()

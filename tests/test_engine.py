@@ -52,7 +52,6 @@ from weitzlab.kernel import (
     DeltaImages,
     LoweringImages,
     block_key,
-    delta_matrix,
     kernel_basis,
     kernel_blocks,
 )
@@ -74,6 +73,7 @@ from weitzlab.report import SweepConfig, enumerate_multidegrees, run_verify_swee
 from weitzlab.tableaux import kostka_numbers
 
 from oracles import (
+    delta_matrix,
     delta_star,
     delta_table,
     expand_oracle,

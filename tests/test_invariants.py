@@ -8,8 +8,7 @@ a content shared one computation, and the d=8 |n|<=10 tier before a
 content's kernel and span numbers were read from its sorted content.
 The d=8 |n|<=12 tier of ROADMAP.md, recorded before the span was ranked
 on the standard products, is too slow for this suite; CI checks it
-through the CLI.  The pool digest is the d=4 |n|<=8
-sweep with two workers, each with caches of its own.  The crosscheck digests
+through the CLI.  The crosscheck digests
 were recorded before the tensor-block rank and the independence check
 moved to integer rows, the d=3 L=9 tier before the tensor words became
 integer columns over y-position masks, and the d=4 L=8 tier before the
@@ -40,7 +39,6 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from weitzlab import kernel, products
 from weitzlab.cli import main
 from weitzlab.poly import Polynomial
 from weitzlab.products import decompose, enumerate_products, expand
@@ -50,7 +48,6 @@ from weitzlab.report import (
     enumerate_multidegrees,
     run_crosscheck,
     run_verify_sweep,
-    strip_timing,
 )
 
 INVARIANTS = [
@@ -63,8 +60,6 @@ INVARIANTS = [
     (3, 24, 2925, "c0bce663eae82aa1afab45a762258eb3aa33dde1527d05d08dcb2869cfdb17eb"),
     (8, 10, 43758, "8d34e4e42cdd774c3fb7346dd83f4982fc8d82e6cae0899ea0c86cfb8065cace"),
 ]
-
-POOL_DIGEST = "03bc30974a9bd72d85e76464a1710553943467a06b29a3ed36c3faaa3a567c42"
 
 CROSSCHECK = [
     (2, 6, 28, "912a55e3a3ec048c122525a8c373ce3890fe90191891d8449035fabede48380e"),
@@ -100,19 +95,6 @@ def test_invariant_digests(d, max_degree, components, digest):
     assert report["aggregate"]["components_checked"] == components
     assert report["aggregate"]["violations"] == 0
     assert report["content_digest"] == digest
-
-
-def test_pool_sweep_digest():
-    # a forked worker copies these caches
-    products._content_dimensions.cache_clear()
-    products._BLOCK_SPANS.clear()
-    kernel._BLOCK_KERNELS.clear()
-    pool = run_verify_sweep(SweepConfig(d=4, max_total_degree=8, parallelism=2))
-    serial = run_verify_sweep(SweepConfig(d=4, max_total_degree=8))
-    assert pool.to_dict()["content_digest"] == POOL_DIGEST
-    assert strip_timing(pool.to_dict())["components"] == strip_timing(
-        serial.to_dict()
-    )["components"]
 
 
 def test_to_json_writes_the_bytes_of_json_dumps():

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 from weitzlab.derivation import exp_action, is_constant
-from weitzlab.kernel import delta_matrix, kernel_basis
+from weitzlab.kernel import kernel_basis
 from weitzlab.linalg import integer_rank
 from weitzlab.poly import Polynomial, component_basis, format_poly
 from weitzlab.report import enumerate_multidegrees
 from weitzlab.tableaux import kostka, two_row_partitions
 
-from oracles import nullspace_oracle, random_rational, same_span
+from oracles import delta_matrix, nullspace_oracle, random_rational, same_span
 
 
 def rank(rows):

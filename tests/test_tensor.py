@@ -5,10 +5,12 @@ runs on masks of y positions (weitzlab.tensor)."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from weitzlab.derivation import delta
+from weitzlab.kernel import positions_by_weight
 from weitzlab.poly import Polynomial, component_basis
 from weitzlab.products import make_u
 from weitzlab.tableaux import standard_tableau_count, standard_tableaux, two_row_partitions
@@ -18,7 +20,6 @@ from weitzlab.tensor import (
     position_strides,
     project,
     standard_hwv_columns,
-    weight_block_words,
 )
 
 from oracles import (
@@ -49,8 +50,8 @@ def to_masks(w):
 
 
 def block_masks(total, q):
-    """weight_block_words(total, q) as masks, in the same order."""
-    return [sum(1 << (total - 1 - p) for p in w) for w in weight_block_words(total, q)]
+    """Masks of the q-element y-position sets of total letters, sets in lex order."""
+    return [sum(1 << (total - 1 - p) for p in w) for w in combinations(range(total), q)]
 
 
 def as_polynomial(d, n, vector):
@@ -240,7 +241,7 @@ def test_projection_equivariance_random():
 
 
 def test_hwv_dimension_equals_tableau_count():
-    for total in range(0, 8):
+    for total in range(0, 11):
         for shape in two_row_partitions(total):
             assert hwv_space_dimension(total, shape) == standard_tableau_count(shape)
 
@@ -272,8 +273,9 @@ def test_standard_basis_spans_weight_kernel():
             assert len(basis) == hwv_space_dimension(total, shape)
 
 
-def test_weight_block_words_shape():
-    assert weight_block_words(3, 0) == [()]
-    assert weight_block_words(3, 2) == [(0, 1), (0, 2), (1, 2)]
+def test_weight_block_masks_and_position_strides():
+    # hwv_space_dimension ranks kernel's weight blocks of (1, ..., 1): its
+    # positions are the masks
+    assert positions_by_weight((1, 1, 1))[2] == sorted(block_masks(3, 2)) == [3, 5, 6]
     # the sorted layout of (2, 0, 1) is 1, 1, 3, and index 1 has stride 2
     assert position_strides(3, (2, 0, 1)) == (2, 2, 1)
