@@ -5,6 +5,11 @@ same configuration produce byte-identical JSON once the timing fields are
 stripped; the content digest is the sha256 of exactly that stripped form.
 Components are enumerated in graded lexicographic order (total degree
 first, then tuple order), which keeps reports comparable across machines.
+
+crosscheck audits each sorted nonzero content once (_content_audit): the
+tensor checks of every two-row shape and the sl2 ladder check, on one
+DeltaImages of the content.  The rows stay one per multidegree, each
+with its own n, seconds and fresh check dicts.
 """
 
 from __future__ import annotations
@@ -175,7 +180,7 @@ class SweepReport:
         import csv
 
         buf = io.StringIO()
-        rows = self.to_dict()["components"]
+        rows = self.rows or [c.to_dict() for c in self.components]
         if self.kind == "verify":
             names = [
                 "n",
@@ -255,18 +260,17 @@ def run_verify_sweep(config: SweepConfig) -> SweepReport:
 # ------------------------------------------------------------------ crosscheck
 
 
-@lru_cache(maxsize=None)
-def _chains_ok(c: tuple[int, ...]) -> bool:
+def _chains_ok(c: tuple[int, ...], raising: DeltaImages) -> bool:
     """Whether every kernel vector of content c heads its sl2 string, d = len(c).
 
     A constant w of y-weight q, with h = |c| - 2q, has the rungs w_0 = w
     and w_k, the lowering (x_i -> y_i) of w_k-1.  delta must step rung k
     back onto exactly k * (h - k + 1) * rung k-1 for k = 1..h, which
     makes those rungs nonzero; h must be at least 0 and the lowering of
-    rung h zero.  All on integer vectors.
+    rung h zero.  All on integer vectors; raising is DeltaImages(d, c).
     """
     d, total = len(c), sum(c)
-    raising, lowering = DeltaImages(d, c), LoweringImages(d, c)
+    lowering = LoweringImages(d, c)
     for q, source, vectors in kernel_blocks(d, c, raising):
         h = total - 2 * q
         for v in vectors:
@@ -281,59 +285,65 @@ def _chains_ok(c: tuple[int, ...]) -> bool:
     return True
 
 
-def _crosscheck_component(d: int, n: tuple[int, ...]) -> dict:
-    """Audit one component: tableau counts vs ranks, equivariance, ladders.
+@lru_cache(maxsize=None)
+def _content_audit(c: tuple[int, ...]) -> tuple[tuple[dict, ...], bool]:
+    """(checks, chains_ok) of the sorted nonzero content c, d = len(c).
 
-    Relabelling the indices commutes with delta and with the lowering
-    map, so whether every kernel vector heads its sl2 string is a
-    property of the sorted nonzero content, as the kernel numbers are
-    (products._content_dimensions); _chains_ok is computed once per
-    sorted content, and the row stays per multidegree.
+    One check per two-row shape of |c|: the Delta kernel rank of its
+    weight block and its standard columns (tensor.standard_hwv_columns)
+    against the tableau count, and the columns' projection onto the
+    component c against its delta.  The projection check and the ladder
+    check (_chains_ok) share one DeltaImages.  A check's shape is a
+    tuple, so that the cached entry holds nothing a row can change.
     """
-    from .tensor import (
-        hwv_space_dimension,
-        position_strides,
-        project,
-        standard_hwv_columns,
-    )
+    from .tensor import position_strides, project, standard_hwv_columns
 
-    start = time.perf_counter()
-    total = sum(n)
-    images = DeltaImages(d, n)
-    strides = position_strides(d, n)
+    d, total = len(c), sum(c)
+    raising = DeltaImages(d, c)
+    strides = position_strides(d, c)
     checks = []
-    ok = True
     for shape in two_row_partitions(total):
         expected = standard_tableau_count(shape)
-        rank_dim = hwv_space_dimension(total, shape)
         basis = standard_hwv_columns(total, shape)
         constants = not any(basis.deltas)
         equivariant = all(
-            project(image, strides) == integer_delta(images, project(column, strides))
+            project(image, strides) == integer_delta(raising, project(column, strides))
             for column, image in zip(basis.columns, basis.deltas)
         )
-        agree = rank_dim == expected and len(basis.columns) == expected
-        row_ok = agree and constants and basis.independent and equivariant
-        ok = ok and row_ok
+        agree = basis.hwv_rank == expected and len(basis.columns) == expected
         checks.append(
             {
-                "shape": list(shape),
-                "hwv_rank": rank_dim,
+                "shape": shape,
+                "hwv_rank": basis.hwv_rank,
                 "tableau_count": expected,
                 "basis_size": len(basis.columns),
                 "independent": basis.independent,
                 "delta_constant": constants,
                 "projection_equivariant": equivariant,
-                "ok": row_ok,
+                "ok": agree and constants and basis.independent and equivariant,
             }
         )
-    chains_ok = _chains_ok(tuple(sorted(component_content(d, n))))
-    ok = ok and chains_ok
+    return tuple(checks), _chains_ok(c, raising)
+
+
+def _crosscheck_component(d: int, n: tuple[int, ...]) -> dict:
+    """Audit one component: tableau counts vs ranks, equivariance, ladders.
+
+    Relabelling the indices commutes with delta, with the lowering map
+    and with the projection of the tensor columns, and zero exponents
+    add no letter, so every check is a property of the sorted nonzero
+    content, as the kernel numbers are (products._content_dimensions).
+    _content_audit is computed once per sorted content; the row stays
+    per multidegree, with fresh check dicts.
+    """
+    start = time.perf_counter()
+    checks, chains_ok = _content_audit(tuple(sorted(component_content(d, n))))
+    checks = [{**check, "shape": list(check["shape"])} for check in checks]
     return {
         "n": list(n),
         "checks": checks,
         "chains_ok": chains_ok,
-        "ok": ok,
+        "ok": chains_ok and all(check["ok"] for check in checks),
         "seconds": time.perf_counter() - start,
     }
 
@@ -341,8 +351,8 @@ def _crosscheck_component(d: int, n: tuple[int, ...]) -> dict:
 def run_crosscheck(config: SweepConfig) -> SweepReport:
     """Tensor-count and ladder audit over every multidegree with |n| <= the limit.
 
-    One row per multidegree; the ladder verdict is read from the cache of
-    its sorted nonzero content (see _crosscheck_component).
+    One row per multidegree; its checks are read from the cache of its
+    sorted nonzero content (see _crosscheck_component).
     """
     config.validate()
     start = time.perf_counter()

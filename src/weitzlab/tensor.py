@@ -7,7 +7,8 @@ makes V^(x)N the multilinear component (1, ..., 1) of K[X_N, Y_N]: the
 word with y positions S sits at position sum(2^(N-1-p) for p in S) of
 component_strides(N, (1,) * N), its mask.  A tensor element is an integer
 column {mask: coefficient}, and the raising derivation Delta (y -> x at
-one position) clears one set bit of a mask.
+one position) is that component's delta: kernel.integer_delta on
+DeltaImages(N, (1,) * N), which clears one set bit of a mask.
 
 For a standard two-row tableau T the product of skew pairs
 x (x) y - y (x) x on the position pairs (row1[c], row2[c]) of its
@@ -15,20 +16,18 @@ columns, with x letters on the leftover first-row cells, is the
 place-permuted version of the special highest weight vector: it is
 prod_c u_(row1[c], row2[c]) in the multilinear component, built by
 products._times_u.  standard_hwv_columns builds one column per standard
-tableau of a shape and checks it against Delta and for independence,
-once per (N, shape), since none of that looks at the indices.
+tableau of a shape, checks it against Delta and for independence, and
+measures the Delta kernel of the shape's weight block, once per
+(N, shape), since none of that looks at the indices.  The weight-l2
+block's positions are the masks with l2 bits set
+(kernel.positions_by_weight), and Delta from them to the block below is
+kernel's weight-l2 block matrix (kernel._block_rows), ranked with
+linalg.integer_rank.
 
 project multiplies the letters out into the component of n: bit p goes
 to the stride of the index at position p of the sorted layout, so
 projection is linear on positions and crosscheck compares it with the
 component's own delta (kernel.integer_delta).
-
-hwv_space_dimension measures the Delta kernel directly.  Masks are the
-positions of the multilinear component, and Delta is its delta, so the
-matrix of Delta from the masks with q set bits to those with q - 1 is
-kernel's weight-q block of (1, ..., 1): kernel._block_rows between
-kernel.positions_by_weight blocks, in mask order, ranked with
-linalg.integer_rank.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .kernel import DeltaImages, _block_rows, positions_by_weight
+from .kernel import DeltaImages, _block_rows, integer_delta, positions_by_weight
 from .linalg import integer_rank
 from .poly import component_strides
 from .products import _times_u
@@ -44,32 +43,19 @@ from .tableaux import standard_tableaux
 
 __all__ = [
     "HwvColumns",
-    "delta_masks",
     "standard_hwv_columns",
     "position_strides",
     "project",
-    "hwv_space_dimension",
 ]
-
-
-def delta_masks(column: dict[int, int]) -> dict[int, int]:
-    """Delta of a tensor column: each set bit of each mask cleared in turn; zeros dropped."""
-    out: dict[int, int] = {}
-    for mask, c in column.items():
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            out[mask ^ bit] = out.get(mask ^ bit, 0) + c
-            rest ^= bit
-    return {mask: c for mask, c in out.items() if c}
 
 
 class HwvColumns(NamedTuple):
     """The standard highest weight vectors of one shape, and their checks."""
 
     columns: tuple[dict[int, int], ...]  # one per standard tableau, in its order
-    deltas: tuple[dict[int, int], ...]  # delta_masks of each column
+    deltas: tuple[dict[int, int], ...]  # Delta of each column
     independent: bool
+    hwv_rank: int  # dimension of the Delta kernel on the shape's weight block
 
 
 @lru_cache(maxsize=None)
@@ -78,9 +64,10 @@ def standard_hwv_columns(total: int, shape: tuple[int, int]) -> HwvColumns:
 
     The pair on the column (r1, r2) of the tableau is x at r1 and y at r2
     with sign +, y at r1 and x at r2 with sign -.  deltas holds each
-    column's Delta, which must be zero, and independent says whether the
-    columns have full rank on their weight block.  The cached columns are
-    shared by every caller, who must not change them.
+    column's Delta, which must be zero, independent says whether the
+    columns have full rank on their weight block W_l2, and hwv_rank is
+    |W_l2| less the rank of Delta from W_l2 to W_(l2 - 1).  The cached
+    columns are shared by every caller, who must not change them.
     """
     tableaux = standard_tableaux(shape)  # refuses all but two-row partitions
     if sum(shape) != total:
@@ -91,12 +78,18 @@ def standard_hwv_columns(total: int, shape: tuple[int, int]) -> HwvColumns:
         for r1, r2 in zip(tableau.row1, tableau.row2):
             column = _times_u(column, 1 << (total - r1), 1 << (total - r2))
         columns.append(column)
-    masks = sorted({mask for column in columns for mask in column})
-    rows = [[column.get(mask, 0) for column in columns] for mask in masks]
+    ones = (1,) * total
+    images = DeltaImages(total, ones)
+    blocks = positions_by_weight(ones)
+    l2 = shape[1]
+    source = blocks[l2]
+    below = _block_rows(images, source, blocks[l2 - 1] if l2 else [])
+    rows = [[column.get(mask, 0) for column in columns] for mask in source]
     return HwvColumns(
         tuple(columns),
-        tuple(map(delta_masks, columns)),
+        tuple(integer_delta(images, column) for column in columns),
         integer_rank(rows, len(columns)) == len(columns),
+        len(source) - integer_rank(below, len(source)),
     )
 
 
@@ -120,23 +113,3 @@ def project(column: dict[int, int], strides: tuple[int, ...]) -> dict[int, int]:
         pos = sum([s for p, s in enumerate(strides) if mask >> (top - p) & 1])
         out[pos] = out.get(pos, 0) + c
     return {pos: c for pos, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def hwv_space_dimension(total: int, shape: tuple[int, int]) -> int:
-    """Dimension of the Delta kernel in the weight-(shape) block of V^(x)total.
-
-    |W_l2| less the rank of Delta from W_l2 to W_(l2 - 1), the weight
-    blocks of the multilinear component; independent of the index
-    content because the derivation never looks at indices.
-    """
-    l1, l2 = shape
-    if l1 + l2 != total:
-        raise ValueError("shape size must equal the word length")
-    if l2 == 0:
-        return 1
-    ones = (1,) * total
-    blocks = positions_by_weight(ones)
-    source = blocks[l2]
-    rows = _block_rows(DeltaImages(total, ones), source, blocks[l2 - 1])
-    return len(source) - integer_rank(rows, len(source))

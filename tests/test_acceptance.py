@@ -34,13 +34,7 @@ from weitzlab.tableaux import (
     standard_tableaux,
     two_row_partitions,
 )
-from weitzlab.tensor import (
-    delta_masks,
-    hwv_space_dimension,
-    position_strides,
-    project,
-    standard_hwv_columns,
-)
+from weitzlab.tensor import position_strides, project, standard_hwv_columns
 
 from oracles import build_chain, delta_star, random_polynomial, random_rational, rank_oracle
 
@@ -117,14 +111,16 @@ def test_criterion_3_tensor_oracle():
         for n in enumerate_multidegrees(d, 8):
             total = sum(n)
             images = DeltaImages(d, n)
+            words = DeltaImages(total, (1,) * total)  # Delta on V^(x)total
             strides = position_strides(d, n)
             for shape in two_row_partitions(total):
                 expected = standard_tableau_count(shape)
-                assert hwv_space_dimension(total, shape) == expected
-                basis = standard_hwv_columns(total, shape).columns
+                hwv = standard_hwv_columns(total, shape)
+                assert hwv.hwv_rank == expected
+                basis = hwv.columns
                 assert len(basis) == expected
                 for column in basis:
-                    image = delta_masks(column)
+                    image = integer_delta(words, column)
                     assert not image
                     assert project(image, strides) == integer_delta(
                         images, project(column, strides)
@@ -148,7 +144,7 @@ def test_criterion_4_ladders():
     """
     contents = {tuple(sorted(component_content(d, n))) for d, n in sweep_components()}
     for c in contents:
-        assert _chains_ok(c), c
+        assert _chains_ok(c, DeltaImages(len(c), c)), c
     chains = 0
     for d, n in sweep_components():
         for w0 in kernel_basis(d, n).vectors:  # kernel_blocks' vectors as Polynomials

@@ -1,5 +1,7 @@
 """Command line contract: flags, exit codes, report shapes, determinism."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ from weitzlab.cli import main
 from weitzlab.report import (
     SweepConfig,
     enumerate_multidegrees,
+    run_crosscheck,
     run_verify_sweep,
     strip_timing,
 )
@@ -305,6 +308,22 @@ def test_crosscheck_csv(runner, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,checks,chains_ok,ok,seconds"
     assert len(lines) == 7  # header + six contents with |n| <= 2
+
+
+@pytest.mark.parametrize("run", [run_verify_sweep, run_crosscheck])
+def test_csv_cells_are_the_json_records(run):
+    report = run(SweepConfig(d=2, max_total_degree=4, tensor_crosscheck_limit=4))
+    records = report.to_dict()["components"]
+    rows = list(csv.DictReader(io.StringIO(report.to_csv())))
+    assert len(rows) == len(records) == 15
+    for row, record in zip(rows, records):
+        assert list(row) == list(record)
+        for key, value in record.items():
+            if key == "n":
+                value = ",".join(map(str, value))
+            elif key == "checks":
+                value = json.dumps(value, sort_keys=True)
+            assert row[key] == str(value)
 
 
 def test_crosscheck_limit_zero_trivially_passes(runner):

@@ -33,9 +33,13 @@ must trip the transpose check of its upper partner.  The integer
 lowering map is checked against oracles.delta_star on every position,
 and a lowering with a wrong coefficient, one that drops every rung or
 one whose string never ends must fail crosscheck's ladder check, its
-row and the command's exit code.
+row and the command's exit code; so must tensor columns that are not
+constants or not independent, and a projection that drops a term.
+Crosscheck rows of one sorted content share nothing a caller can
+change.
 """
 
+import copy
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -45,7 +49,7 @@ from operator import mul
 import pytest
 from click.testing import CliRunner
 
-from weitzlab import kernel, products, report
+from weitzlab import kernel, products, report, tensor
 from weitzlab.derivation import delta
 from weitzlab.cli import main
 from weitzlab.kernel import (
@@ -581,16 +585,21 @@ def never_end(monkeypatch):
     monkeypatch.setattr(report, "integer_delta", endless)
 
 
+def clear_crosscheck():
+    report._content_audit.cache_clear()
+    tensor.standard_hwv_columns.cache_clear()
+
+
 @pytest.fixture
-def cold_ladders():
-    """Empty the ladder cache, so that a corrupted lowering actually runs."""
-    report._chains_ok.cache_clear()
+def cold_crosscheck():
+    """Empty crosscheck's caches, so that a corrupted layer actually runs."""
+    clear_crosscheck()
     yield
-    report._chains_ok.cache_clear()
+    clear_crosscheck()
 
 
 @pytest.mark.parametrize("fault", ["lowering off by one", "rungs dropped", "no last rung"])
-def test_a_broken_ladder_fails_crosscheck(monkeypatch, cold_ladders, fault):
+def test_a_broken_ladder_fails_crosscheck(monkeypatch, cold_crosscheck, fault):
     # (1, 1) holds x1*x2, whose string has the rungs x1*x2, x1*y2 + y1*x2, 2*y1*y2
     if fault == "rungs dropped":
         drop_rungs(monkeypatch)
@@ -605,5 +614,68 @@ def test_a_broken_ladder_fails_crosscheck(monkeypatch, cold_ladders, fault):
     result = CliRunner().invoke(main, ["crosscheck", "--d", "2", "--limit", "2"])
     assert result.exit_code == 1
     monkeypatch.undo()
-    report._chains_ok.cache_clear()
+    clear_crosscheck()
     assert report._crosscheck_component(2, (1, 1))["chains_ok"]
+
+
+def plus_pairs(monkeypatch):
+    real = tensor._times_u
+
+    def plus(column, si, sj):  # x (x) y + y (x) x, which Delta does not kill
+        return {mask: abs(c) for mask, c in real(column, si, sj).items()}
+
+    monkeypatch.setattr(tensor, "_times_u", plus)
+
+
+def repeat_tableaux(monkeypatch):
+    real = tensor.standard_tableaux
+
+    def repeated(shape):
+        tableaux = real(shape)
+        return [tableaux[0]] * len(tableaux)
+
+    monkeypatch.setattr(tensor, "standard_tableaux", repeated)
+
+
+def drop_projected_term(monkeypatch):
+    real = tensor.project
+
+    def dropping(column, strides):
+        return dict(list(real(column, strides).items())[1:])
+
+    monkeypatch.setattr(tensor, "project", dropping)
+
+
+TENSOR_FAULTS = {
+    "pairs not constant": (plus_pairs, "delta_constant"),
+    "columns repeated": (repeat_tableaux, "independent"),
+    "projection drops a term": (drop_projected_term, "projection_equivariant"),
+}
+
+
+@pytest.mark.parametrize("fault", TENSOR_FAULTS)
+def test_a_broken_tensor_side_fails_crosscheck(monkeypatch, cold_crosscheck, fault):
+    # (2, 1) has the shape (2, 1), whose two standard columns u13*x2 and
+    # u12*x3 both project onto u12*x2
+    corrupt, field = TENSOR_FAULTS[fault]
+    corrupt(monkeypatch)
+    row = report._crosscheck_component(2, (2, 1))
+    assert row["chains_ok"] and not row["ok"]
+    (check,) = [check for check in row["checks"] if check["shape"] == [2, 1]]
+    assert check[field] is False and not check["ok"]
+    assert report.run_crosscheck(SweepConfig(d=2, tensor_crosscheck_limit=3)).violations >= 1
+    result = CliRunner().invoke(main, ["crosscheck", "--d", "2", "--limit", "3"])
+    assert result.exit_code == 1
+    monkeypatch.undo()
+    clear_crosscheck()
+    assert report._crosscheck_component(2, (2, 1))["ok"]
+
+
+def test_crosscheck_rows_share_nothing_mutable(cold_crosscheck):
+    # (1, 2) and (2, 1) read one cached audit of the content (1, 2)
+    first = report._crosscheck_component(2, (1, 2))
+    expected = copy.deepcopy(first["checks"])
+    first["checks"][1]["shape"].append(0)
+    first["checks"][1]["ok"] = False
+    first["checks"].pop(0)
+    assert report._crosscheck_component(2, (2, 1))["checks"] == expected

@@ -13,8 +13,10 @@ were recorded before the tensor-block rank and the independence check
 moved to integer rows, the d=3 L=9 tier before the tensor words became
 integer columns over y-position masks, and the d=4 L=8 tier before the
 ladder check moved from Fraction Polynomials to integer vectors, once
-per sorted content; CI checks the d=2 L=12 and d=3 L=10 tiers through
-the CLI.  golden/kernel.txt holds
+per sorted content.  The d=8 L=6 tier, whose 3,003 rows fall on few
+sorted contents, was recorded before the tensor checks were computed
+once per sorted content; CI checks the d=2 L=12, d=2 L=13, d=3 L=10 and
+d=6 L=7 tiers through the CLI.  golden/kernel.txt holds
 `weitz kernel` output recorded before the integer component engine
 replaced the Polynomial route, and golden/decompose.txt holds
 `weitz decompose --format json` certificates recorded before the solver's
@@ -67,6 +69,7 @@ CROSSCHECK = [
     (4, 4, 70, "1802571bf1e3100e64e783434d995a9c0f18df788980b0f04f6eebfb16a0874b"),
     (3, 9, 220, "cb16c1973db522b0bc583d23f4aab33b02abf9bad7dee67466babe2fd5f9b895"),
     (4, 8, 495, "2f9ad010da3d1e9395ca5edfdcac36d9c9bd7e1bda1b9c42ab36a2027968c077"),
+    (8, 6, 3003, "b4ff432ea5b08d3eab4ae85f4ea34551e550ff97223a5cf56d70677412d85ac3"),
 ]
 
 CERTIFICATE_DIGEST = "e9a4c2d58a37f9d14ff191f449168478c14937413ad38d75a93b09f82cadc08d"

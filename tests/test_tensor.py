@@ -10,17 +10,11 @@ from itertools import combinations
 import pytest
 
 from weitzlab.derivation import delta
-from weitzlab.kernel import positions_by_weight
+from weitzlab.kernel import DeltaImages, integer_delta, positions_by_weight
 from weitzlab.poly import Polynomial, component_basis
 from weitzlab.products import make_u
 from weitzlab.tableaux import standard_tableau_count, standard_tableaux, two_row_partitions
-from weitzlab.tensor import (
-    delta_masks,
-    hwv_space_dimension,
-    position_strides,
-    project,
-    standard_hwv_columns,
-)
+from weitzlab.tensor import position_strides, project, standard_hwv_columns
 
 from oracles import (
     delta_words,
@@ -54,6 +48,11 @@ def block_masks(total, q):
     return [sum(1 << (total - 1 - p) for p in w) for w in combinations(range(total), q)]
 
 
+def multilinear(total):
+    """Delta's images on V^(x)total: those of the component (1, ..., 1)."""
+    return DeltaImages(total, (1,) * total)
+
+
 def as_polynomial(d, n, vector):
     basis = component_basis(d, n)
     return Polynomial(d, {basis[pos]: c for pos, c in vector.items()})
@@ -62,16 +61,16 @@ def as_polynomial(d, n, vector):
 def test_delta_tensor_examples():
     w = word_elem(("y", 1), ("x", 2))
     assert delta_words(w) == word_elem(("x", 1), ("x", 2))
-    assert delta_masks({0b10: 1}) == {0b00: 1}
+    assert integer_delta(multilinear(2), {0b10: 1}) == {0b00: 1}
 
     skew = combine((1, word_elem(("x", 1), ("y", 2))), (-1, word_elem(("y", 1), ("x", 2))))
     assert delta_words(skew) == {}
-    assert delta_masks(to_masks(skew)) == {}
+    assert integer_delta(multilinear(2), to_masks(skew)) == {}
 
     yy = word_elem(("y", 1), ("y", 1))
     expected = combine((1, word_elem(("x", 1), ("y", 1))), (1, word_elem(("y", 1), ("x", 1))))
     assert delta_words(yy) == expected
-    assert delta_masks({0b11: 1}) == {0b01: 1, 0b10: 1}
+    assert integer_delta(multilinear(2), {0b11: 1}) == {0b01: 1, 0b10: 1}
 
 
 def test_place_permutation_examples():
@@ -127,13 +126,14 @@ def test_content_conserved():
     assert contents(place_permutation(w, sigma)) == contents(w)
 
 
-def test_delta_masks_is_delta_on_words():
+def test_multilinear_delta_is_delta_on_words():
     # in the sorted layout a word is its mask, and both derivations agree
     rng = random.Random(32)
     for n in [(2, 1), (1, 2, 1), (3, 2)]:
+        images = multilinear(sum(n))
         for _ in range(10):
             w = random_element(rng, n, terms=4, sorted_layout=True)
-            assert delta_masks(to_masks(w)) == to_masks(delta_words(w))
+            assert integer_delta(images, to_masks(w)) == to_masks(delta_words(w))
 
 
 def test_special_hwv_examples():
@@ -235,7 +235,8 @@ def test_projection_equivariance_random():
     strides = position_strides(2, n)
     for _ in range(20):
         w = to_masks(random_element(rng, n, sorted_layout=True))
-        assert as_polynomial(2, n, project(delta_masks(w), strides)) == delta(
+        image = integer_delta(multilinear(3), w)
+        assert as_polynomial(2, n, project(image, strides)) == delta(
             as_polynomial(2, n, project(w, strides))
         )
 
@@ -243,7 +244,7 @@ def test_projection_equivariance_random():
 def test_hwv_dimension_equals_tableau_count():
     for total in range(0, 11):
         for shape in two_row_partitions(total):
-            assert hwv_space_dimension(total, shape) == standard_tableau_count(shape)
+            assert standard_hwv_columns(total, shape).hwv_rank == standard_tableau_count(shape)
 
 
 def test_isotypic_dimensions_fill_the_component():
@@ -252,7 +253,7 @@ def test_isotypic_dimensions_fill_the_component():
     # counts taken from the rank route rather than the tableau formula
     for total in range(0, 9):
         filled = sum(
-            hwv_space_dimension(total, shape) * (shape[0] - shape[1] + 1)
+            standard_hwv_columns(total, shape).hwv_rank * (shape[0] - shape[1] + 1)
             for shape in two_row_partitions(total)
         )
         assert filled == 2**total
@@ -265,16 +266,17 @@ def test_standard_basis_spans_weight_kernel():
     for n in [(2, 1), (1, 1, 1), (2, 2), (3, 1)]:
         total = sum(n)
         for shape in two_row_partitions(total):
-            basis = standard_hwv_columns(total, shape).columns
-            assert all(delta_masks(column) == {} for column in basis)
+            hwv = standard_hwv_columns(total, shape)
+            basis = hwv.columns
+            assert all(integer_delta(multilinear(total), column) == {} for column in basis)
             masks = block_masks(total, shape[1])
             coords = [[column.get(m, 0) for m in masks] for column in basis]
             assert rank_oracle(coords) == len(basis)
-            assert len(basis) == hwv_space_dimension(total, shape)
+            assert len(basis) == hwv.hwv_rank
 
 
 def test_weight_block_masks_and_position_strides():
-    # hwv_space_dimension ranks kernel's weight blocks of (1, ..., 1): its
+    # standard_hwv_columns ranks kernel's weight blocks of (1, ..., 1): its
     # positions are the masks
     assert positions_by_weight((1, 1, 1))[2] == sorted(block_masks(3, 2)) == [3, 5, 6]
     # the sorted layout of (2, 0, 1) is 1, 1, 3, and index 1 has stride 2
