@@ -13,14 +13,14 @@ own leading position with coefficient +-1 (standard monomial theory).
 verify_component is the whole point: for one multidegree it computes the
 kernel dimension, the product-span dimension, and the independent tableau
 count, and reports whether all three agree.  It runs on integers indexed
-by component position (poly.component_strides).  The span dimension is
-the rank of the standard products: one walk over the tableaux expands
-them into integer columns, sharing the expansion of common prefixes,
-and checks each one constant; no ProductTerm is built on that path.
-That is enough to prove a component: the standard products lie in the
-kernel, so their rank is at most its dimension, and equality means they
-span it.  The other products are only counted (_exponent_walk), never
-expanded.
+by component position (poly.component_strides).  The span dimension
+counts the standard products' distinct leading positions: one walk over
+the tableaux expands them into integer columns, sharing the expansion of
+common prefixes, and checks each one constant; no ProductTerm is built
+and nothing is eliminated on that path.  That is enough to prove a
+component: k columns with distinct leads have rank at least k, the
+standard products lie in the kernel, and equality with its dimension
+means they span it.  The other products are only counted, never expanded.
 
 decompose needs no matrix: a constant is straightened into the standard
 products from its largest position down.
@@ -39,10 +39,10 @@ kernel.block_key: the products of y-weight q are the pair exponents of
 total q whose index degrees are at most min(c_i, q), so blocks with the
 same key are the same matrix with the same number of columns, and the
 same rank, which the block's standard products have too.  Each distinct
-block's standard products are expanded, checked constant and ranked
-once per process (_span_rank), and a content whose blocks are all known
-costs one lookup per weight, as on the kernel side
-(kernel.kernel_blocks).  A cold d=4 |n|<=8 sweep ranks 38 distinct
+block's standard products are expanded, checked constant and their
+leads counted once per process (_span_rank), and a content whose blocks
+are all known costs one lookup per weight, as on the kernel side
+(kernel.kernel_blocks).  A cold d=4 |n|<=8 sweep counts 38 distinct
 product blocks among the 164 of its 53 sorted contents, and a cold d=2
 |n|<=18 sweep 12 among 385.
 """
@@ -63,7 +63,6 @@ from typing import Iterator
 from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
 from .kernel import DeltaImages, block_key, integer_delta, kernel_blocks
-from .linalg import integer_rank
 from .poly import (
     Polynomial,
     component_basis,
@@ -234,8 +233,8 @@ def _top_weight(n: tuple[int, ...]) -> int:
     return min(total // 2, total - max(n, default=0))
 
 
-# (standard-product rank, product count) of every y-weight product block
-# seen so far, keyed like kernel._BLOCK_KERNELS; see _span_rank.
+# (distinct standard-product leads, product count) of every y-weight
+# product block seen so far, keyed like kernel._BLOCK_KERNELS; see _span_rank.
 _BLOCK_SPANS: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
 
 
@@ -244,39 +243,39 @@ def _span_rank(
 ) -> tuple[int, int]:
     """(rank of the standard products, number of all products) of multidegree n.
 
-    The products of y-weight q are the pair exponents of total q whose
-    index degrees are at most min(n_i, q), so kernel.block_key(n, q)
-    fixes the all-product block's matrix, its number of columns and its
-    rank.  The standard products of weight q are a basis of that block's
-    span (standard monomial theory), so their rank is fixed by the key
-    too, although the tableaux themselves differ between contents that
-    share it.  Only the weights whose key is not in _BLOCK_SPANS have
-    their standard products walked, checked constant and ranked, and
-    their products counted by _exponent_walk with no column built; each
-    entry is stored once every one of its columns has passed its check.
-    images is the component's kernel.DeltaImages when the caller has one.
+    A weight's rank is the number of distinct largest positions over its
+    nonzero standard columns, with no elimination: each standard product
+    has its own lead (see _component_solver).  The products of y-weight q
+    are the pair exponents of total q whose index degrees are at most
+    min(n_i, q), so kernel.block_key(n, q) fixes the all-product block's
+    matrix, its number of columns and its rank, although the tableaux
+    differ between contents that share it.  Only the weights whose key
+    is not in _BLOCK_SPANS have their standard products walked, checked
+    constant and their leads counted, and their products counted by
+    _exponent_walk with no column built; each entry is stored once every
+    one of its columns has passed its check.  images is the component's
+    kernel.DeltaImages when the caller has one.
 
-    Only the standard products are checked constant, and that is enough
-    for a lower bound on the span: an entry's rank is that of standard
-    products, which are products, so it is at most the rank of the
-    all-product block of any content with that key, and those products
-    are constants (delta is a derivation that kills every x_i and u_ij),
-    so that rank is at most the block's kernel nullity.
-    The sum is at most dim_kernel, and dim_span == dim_kernel proves that
-    the products span the component's kernel.  An enumerator fault can
-    fail a true component; it cannot pass a false one.
+    The sum is a lower bound on the span whatever the walk emits:
+    - vectors with k pairwise-distinct leads have rank at least k;
+    - the standard products' rank is at most the all-product block's
+      rank, which block_key fixes;
+    - that rank is at most the block's kernel nullity, because every
+      standard column is still checked constant.
+    So dim_span == dim_kernel still proves that the products span the
+    component's kernel: a lead collision can fail a true component, but
+    it can never pass a false one.
     """
     keys = [block_key(n, q) for q in range(_top_weight(n) + 1)]
     missing = {q for q, key in enumerate(keys) if key not in _BLOCK_SPANS}
     if missing:
-        blocks: dict[int, list[dict[int, int]]] = {q: [] for q in missing}
+        leads: dict[int, set[int]] = {q: set() for q in missing}
         for q, _, column in _standard_columns(d, n, images, missing):
-            blocks[sum(q)].append(column)
+            if column:
+                leads[sum(q)].add(max(column))
         counts = Counter(sum(q) for q, _ in _exponent_walk(d, n))
-        for q, block in blocks.items():
-            positions = sorted({pos for column in block for pos in column})
-            rows = [[column.get(pos, 0) for column in block] for pos in positions]
-            _BLOCK_SPANS[keys[q]] = integer_rank(rows, len(block)), counts[q]
+        for q, block in leads.items():
+            _BLOCK_SPANS[keys[q]] = len(block), counts[q]
     rank = count = 0
     for key in keys:
         block_rank, block_count = _BLOCK_SPANS[key]
@@ -288,8 +287,8 @@ def _span_rank(
 def span_dimension(d: int, n: tuple[int, ...]) -> int:
     """Rank of the products of multidegree n inside their component.
 
-    It is the rank of the standard products, a basis of the products'
-    span; only they are expanded and checked constant (see _span_rank).
+    It is the number of distinct leads of the standard products, a basis
+    of the products' span; only they are expanded and checked constant.
     """
     return _span_rank(d, n)[0]
 
@@ -555,22 +554,23 @@ def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
 def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     """Compare the three dimension routes for one component.
 
-    dim_kernel comes from exact elimination, dim_span from the rank of the
-    expanded standard products, and the oracle from summing the Kostka
-    numbers of every two-row shape.  As side checks every kernel vector
-    and every standard product is confirmed to be a constant; the other
-    products are only counted, for product_count.  dim_span is at most
-    dim_kernel whichever products the walk picks, so equality proves
-    that the products span the kernel (see _span_rank).  The numbers are
-    computed once per content c, the nonzero entries of n in dimension
-    len(c) (poly.component_content), so a component that shares its
-    content with an earlier one costs a lookup.  The kernel and span
-    numbers of c are those of sorted(c), which is the one eliminated,
-    expanded and checked, so a failing side check names products by the
-    sorted content's indices; the oracle runs on c itself.  Below the
+    dim_kernel comes from exact elimination, dim_span from the distinct
+    leads of the expanded standard products, and the oracle from summing
+    the Kostka numbers of every two-row shape.  As side checks every
+    kernel vector and every standard product is confirmed to be a
+    constant; the other products are only counted, for product_count.
+    dim_span is at most dim_kernel whichever products the walk picks, so
+    equality proves that the products span the kernel (see _span_rank).
+    The numbers are computed once per content c, the nonzero entries of
+    n in dimension len(c) (poly.component_content), so a component that
+    shares its content with an earlier one costs a lookup.  The kernel
+    and span numbers of c are those of sorted(c), which is the one
+    eliminated, expanded and checked, so a failing side check names
+    products by the sorted content's indices; the oracle runs on c
+    itself.  Below the
     content, each distinct y-weight block (kernel.block_key) is
     eliminated, expanded and checked once per process, and its kernel
-    vectors, rank and product count are read back for every later
+    vectors, lead count and product count are read back for every later
     content that has it.
     """
     start = time.perf_counter()

@@ -16,13 +16,13 @@ columns, with x letters on the leftover first-row cells, is the
 place-permuted version of the special highest weight vector: it is
 prod_c u_(row1[c], row2[c]) in the multilinear component, built by
 products._times_u.  standard_hwv_columns builds one column per standard
-tableau of a shape, checks it against Delta and for independence, and
-measures the Delta kernel of the shape's weight block, once per
-(N, shape), since none of that looks at the indices.  The weight-l2
-block's positions are the masks with l2 bits set
-(kernel.positions_by_weight), and Delta from them to the block below is
-kernel's weight-l2 block matrix (kernel._block_rows), ranked with
-linalg.integer_rank.
+tableau of a shape, checks it against Delta and for independence (by
+distinct smallest masks, with no elimination), and measures the Delta
+kernel of the shape's weight block, once per (N, shape), since none of
+that looks at the indices.  The weight-l2 block's positions are the
+masks with l2 bits set (kernel.positions_by_weight), and Delta from
+them to the block below is kernel's weight-l2 block matrix
+(kernel._block_rows), ranked with linalg.integer_rank.
 
 project multiplies the letters out into the component of n: bit p goes
 to the stride of the index at position p of the sorted layout, so
@@ -54,7 +54,7 @@ class HwvColumns(NamedTuple):
 
     columns: tuple[dict[int, int], ...]  # one per standard tableau, in its order
     deltas: tuple[dict[int, int], ...]  # Delta of each column
-    independent: bool
+    independent: bool  # smallest masks pairwise distinct, so full rank on W_l2
     hwv_rank: int  # dimension of the Delta kernel on the shape's weight block
 
 
@@ -64,16 +64,16 @@ def standard_hwv_columns(total: int, shape: tuple[int, int]) -> HwvColumns:
 
     The pair on the column (r1, r2) of the tableau is x at r1 and y at r2
     with sign +, y at r1 and x at r2 with sign -.  deltas holds each
-    column's Delta, which must be zero, independent says whether the
-    columns have full rank on their weight block W_l2, and hwv_rank is
-    |W_l2| less the rank of Delta from W_l2 to W_(l2 - 1).  The cached
-    columns are shared by every caller, who must not change them.
+    column's Delta, which must be zero, and hwv_rank is |W_l2| less the
+    rank of Delta from W_l2 to W_(l2 - 1).  independent says the columns'
+    smallest masks are pairwise distinct: a column's is its tableau's
+    row-2 set, coefficient +1, since a y at r1 < r2 is a larger bit.  The
+    cached columns are shared by every caller, who must not change them.
     """
-    tableaux = standard_tableaux(shape)  # refuses all but two-row partitions
     if sum(shape) != total:
         raise ValueError("shape size must equal the word length")
     columns = []
-    for tableau in tableaux:
+    for tableau in standard_tableaux(shape):  # refuses all but two-row partitions
         column = {0: 1}
         for r1, r2 in zip(tableau.row1, tableau.row2):
             column = _times_u(column, 1 << (total - r1), 1 << (total - r2))
@@ -84,11 +84,10 @@ def standard_hwv_columns(total: int, shape: tuple[int, int]) -> HwvColumns:
     l2 = shape[1]
     source = blocks[l2]
     below = _block_rows(images, source, blocks[l2 - 1] if l2 else [])
-    rows = [[column.get(mask, 0) for column in columns] for mask in source]
     return HwvColumns(
         tuple(columns),
         tuple(integer_delta(images, column) for column in columns),
-        integer_rank(rows, len(columns)) == len(columns),
+        all(columns) and len({min(column) for column in columns}) == len(columns),
         len(source) - integer_rank(below, len(source)),
     )
 

@@ -17,7 +17,10 @@ product block whose key is known is not checked again.  The span is
 ranked on the standard products, whose tableaux differ between contents
 that share a key, so an entry stored by one content is checked against
 another's cold value, and on every sorted content of d=6 |n| <= 8 the
-rank is checked equal to the standard count and the Kostka sum.  Only sorted
+rank is checked equal to the standard count and the Kostka sum.  A span
+entry counts distinct leading positions, so after cold d=6 |n| <= 8 and
+d=2 |n| <= 18 sweeps every entry is checked equal to integer_rank of the
+standard columns of each sorted content with its key.  Only sorted
 contents reach the block tables: every weight block of a content is
 checked equal, through the relabelling of its indices, to that of its
 sorted content, with the same nullities and span numbers, and an
@@ -29,7 +32,9 @@ transposed, with the same rank, and the derived nullity 0.  The
 fault-injection tests corrupt one column or one kernel vector on cold
 caches and require the constancy side checks to fire with their usual
 messages and store nothing; a kernel vector dropped below the middle
-must trip the transpose check of its upper partner.  The integer
+must trip the transpose check of its upper partner, and a standard
+column emitted in place of another must leave dim_span below dim_kernel
+and fail verify's exit code.  The integer
 lowering map is checked against oracles.delta_star on every position,
 and a lowering with a wrong coefficient, one that drops every rung or
 one whose string never ends must fail crosscheck's ladder check, its
@@ -40,6 +45,7 @@ change.
 """
 
 import copy
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -451,6 +457,45 @@ def test_block_kernel_table_size_after_a_cold_sweep(d, max_degree, entries, span
     run_verify_sweep(SweepConfig(d=d, max_total_degree=max_degree))
     assert len(kernel._BLOCK_KERNELS) == entries
     assert len(products._BLOCK_SPANS) == spans
+
+
+@pytest.mark.parametrize("d,max_degree", [(6, 8), (2, 18)])
+def test_span_entries_are_the_rank_of_their_standard_columns(d, max_degree, cold_engine):
+    """Each lead count a cold sweep stores equals integer_rank, the elimination
+    it replaced, of the standard columns of every sorted content with its key."""
+    run_verify_sweep(SweepConfig(d=d, max_total_degree=max_degree))
+    contents = {tuple(sorted(filter(None, n))) for n in enumerate_multidegrees(d, max_degree)}
+    keys = set()
+    for c in sorted(contents):
+        blocks = {}
+        for q, column in weighted_columns(len(c), c):
+            blocks.setdefault(q, []).append(column)
+        for q, block in blocks.items():
+            positions = sorted({pos for column in block for pos in column})
+            rows = [[column.get(pos, 0) for column in block] for pos in positions]
+            key = block_key(c, q)
+            assert products._BLOCK_SPANS[key][0] == integer_rank(rows, len(block)), (c, q)
+            keys.add(key)
+    assert keys == products._BLOCK_SPANS.keys()
+
+
+def test_a_standard_column_emitted_twice_fails_verify(monkeypatch, cold_engine):
+    # (1, 1) has x1*x2 at weight 0 and u12 at weight 1; emitting x1*x2 in
+    # place of u12 leaves two equal leads at weight 0 and none at weight 1
+    real = products._standard_columns
+
+    def twice(*args):
+        columns = real(*args)
+        return columns[:1] * 2 + columns[2:]
+
+    monkeypatch.setattr(products, "_standard_columns", twice)
+    record = verify_component(2, (1, 1))
+    assert (record.dim_kernel, record.dim_span, record.verdict) == (2, 1, False)
+    clear_engine()
+    result = CliRunner().invoke(main, ["verify", "--d", "2", "--max-degree", "2"])
+    assert result.exit_code == 1
+    failed = [c for c in json.loads(result.stdout)["components"] if not c["verdict"]]
+    assert [(c["n"], c["dim_kernel"], c["dim_span"]) for c in failed] == [([1, 1], 2, 1)]
 
 
 def relabelled(c, sigma):

@@ -1,7 +1,8 @@
 """Tensor words and their mask columns: the raising derivation, place
 permutations, the highest-weight constructions and their dimension
 bookkeeping.  The word model is the reference in oracles.py; the package
-runs on masks of y positions (weitzlab.tensor)."""
+runs on masks of y positions (weitzlab.tensor), and reads independence off
+distinct smallest masks, checked against linalg.integer_rank."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 
 from weitzlab.derivation import delta
 from weitzlab.kernel import DeltaImages, integer_delta, positions_by_weight
+from weitzlab.linalg import integer_rank
 from weitzlab.poly import Polynomial, component_basis
 from weitzlab.products import make_u
 from weitzlab.tableaux import standard_tableau_count, standard_tableaux, two_row_partitions
@@ -185,6 +187,32 @@ def test_standard_basis_rejections():
         standard_hwv_columns(3, (1, 1, 1))  # three rows
     with pytest.raises(ValueError):
         standard_hwv_columns(2, (3, 1))  # size mismatch
+
+
+def test_size_mismatch_is_refused_before_enumeration():
+    before = standard_tableaux.cache_info()
+    with pytest.raises(ValueError, match="shape size"):
+        standard_hwv_columns(5, (13, 7))
+    assert standard_tableaux.cache_info() == before
+
+
+def test_smallest_masks_are_the_row_2_sets():
+    # independent is read off distinct smallest masks; integer_rank on the
+    # weight block, the elimination it replaced, is the reference
+    checked = 0
+    for total in range(12):
+        for shape in two_row_partitions(total):
+            hwv = standard_hwv_columns(total, shape)
+            for tableau, column in zip(standard_tableaux(shape), hwv.columns, strict=True):
+                low = min(column)
+                assert low == sum(1 << (total - r) for r in tableau.row2)
+                assert column[low] == 1
+                checked += 1
+            masks = block_masks(total, shape[1])
+            rows = [[column.get(m, 0) for column in hwv.columns] for m in masks]
+            full = integer_rank(rows, len(hwv.columns)) == len(hwv.columns)
+            assert hwv.independent == full, shape
+    assert checked == 988
 
 
 def test_standard_basis_matches_place_permuted_special():
