@@ -1,7 +1,7 @@
 """Fraction-free row reduction that touches only the rows a pivot changes.
 
 The one row reducer of the package; weitzlab.linalg calls it for every
-rank, nullspace and solver build.  Rows are dense lists of Python ints
+rank, nullspace and linear solve.  Rows are dense lists of Python ints
 and are modified in place.
 """
 
@@ -12,12 +12,11 @@ def echelonize(rows, pivot_limit):
     """Reduce to row echelon form; returns the list of pivot columns.
 
     Pivots are searched only in columns 0..pivot_limit-1 (first nonzero
-    row at or below the current one), but eliminations update full rows,
-    so callers may carry extra bookkeeping columns on the right.  A row
-    with a 0 in the pivot column is left alone; every other row r_i
-    becomes (piv/g)*r_i - (v_i/g)*r_pivot with g = gcd(piv, v_i), divided
-    by the gcd of its entries.  Each row is thus a nonzero multiple of the
-    row rational elimination gives, so pivots, kernels and solutions are
+    row at or below the current one).  A row with a 0 in the pivot
+    column is left alone; every other row r_i becomes
+    (piv/g)*r_i - (v_i/g)*r_pivot with g = gcd(piv, v_i), divided by the
+    gcd of its entries.  Each row is thus a nonzero multiple of the row
+    rational elimination gives, so pivots, kernels and solutions are
     those of rational elimination, and the gcd keeps entries small.
     """
     m = len(rows)

@@ -162,7 +162,7 @@ def decompose_cmd(d, output_format, split, source):
                         ],
                         "label": t.label(),
                     }
-                    for t, c in sorted(cert.items(), key=lambda kv: kv[0].q)
+                    for t, c in cert.items()
                 ],
             }
             for n, cert in certificates.items()
@@ -174,7 +174,7 @@ def decompose_cmd(d, output_format, split, source):
                 click.echo(f"component n={','.join(map(str, n))}:")
             if not cert:
                 click.echo("  0")
-            for t, c in sorted(cert.items(), key=lambda kv: (kv[0].q, kv[0].p)):
+            for t, c in cert.items():
                 click.echo(f"  {t.label()}: {c}")
     sys.exit(EXIT_OK)
 

@@ -1,13 +1,11 @@
 """Exact linear algebra on dense integer rows.
 
-A matrix is a list of rows of Python ints.  Rank, nullspace and repeated
-linear solves all reduce to one fraction-free integer row reduction and
-share one integer back substitution; rational input (a right-hand side
-to LinearSolver.solve) is scaled to integers first, and Fractions are
-built only for a returned solution.  LinearSolver keeps its transform
-as columns, so a solve touches only the columns of the nonzero entries
-of its right-hand side.  Pivoting always takes the first nonzero row in
-canonical column order, so results are bit-for-bit deterministic.
+A matrix is a list of rows of Python ints.  Rank, nullspace and linear
+solves all reduce to one fraction-free integer row reduction and share
+one integer back substitution; a rational right-hand side (to
+LinearSolver.solve) is scaled to integers first, and Fractions are built
+only for a returned solution.  Pivoting always takes the first nonzero
+row in canonical column order, so results are bit-for-bit deterministic.
 
 The row reduction itself is weitzlab._rowred_py.echelonize, always called
 through the module attribute _core so that a profiler can rebind it.
@@ -23,8 +21,6 @@ from typing import Sequence
 from . import _rowred_py as _core
 
 BACKEND = "python"
-
-_ZERO = Fraction(0)
 
 __all__ = [
     "BACKEND",
@@ -95,53 +91,32 @@ def integer_nullspace(rows: list[list[int]], cols: int) -> list[list[int]]:
 
 
 class LinearSolver:
-    """Reusable exact solver for A x = b with a fixed integer A and many b.
+    """Exact solver for A x = b with a fixed integer A, kept as a copy of the rows.
 
-    One fraction-free reduction of [A | I] is done up front, which leaves
-    U = T A in echelon form together with the transform T; T is kept
-    only as its columns, one per coordinate of b.  A solve scales b to
-    integers, forms w = T b as the sum of b_j times column j over the
-    nonzero b_j, and takes x from the nullspace of [U | -w] at the
-    right-hand-side column, through the same back substitution as
-    integer_nullspace.  Among all solutions the returned one sets every
-    free variable to zero, so its support sits on the earliest
-    independent columns of A (echelon pivot preference).  solve()
-    returns None when the system is inconsistent.  rows are reduced in
-    place.
+    solve(b) scales b to integers by the lcm den of its denominators,
+    reduces [A | -b*den] once and back-substitutes at the right-hand-side
+    column as integer_nullspace does.  The solution sets every free
+    variable to zero, so its support sits on the earliest independent
+    columns of A (echelon pivot preference).  It is None when the system
+    is inconsistent, i.e. when the right-hand-side column is a pivot.
     """
 
-    __slots__ = ("_rows", "_columns", "_pivots", "_ncols")
+    __slots__ = ("_rows", "_ncols", "rank")
 
     def __init__(self, rows: list[list[int]], cols: int):
-        m = len(rows)
-        for r, row in enumerate(rows):
-            row.extend([0] * m)
-            row[cols + r] = 1
-        self._pivots = _core.echelonize(rows, cols)
-        self._rows = [row[:cols] for row in rows[: len(self._pivots)]]
-        self._columns = list(map(list, zip(*rows)))[cols:]
+        self._rows = [row[:] for row in rows]
         self._ncols = cols
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
+        self.rank = integer_rank([row[:] for row in rows], cols)
 
     def solve(self, b: Sequence[Fraction | int]) -> list[Fraction] | None:
-        columns = self._columns
-        if len(b) != len(columns):
+        if len(b) != len(self._rows):
             raise ValueError("right-hand side length mismatch")
-        nonzero = [(j, e) for j, e in enumerate(b) if e]
-        den = lcm(*[e.denominator for _, e in nonzero])
-        w = [0] * len(columns)
-        for j, e in nonzero:
-            c = e.numerator * (den // e.denominator)
-            w = [wr + c * t for wr, t in zip(w, columns[j])]
-        rank = len(self._pivots)
-        if any(w[rank:]):
-            return None
+        den = lcm(*[e.denominator for e in b])
         n = self._ncols
-        rows = [row + [-wr] for row, wr in zip(self._rows, w)]
-        v = _back_substitute(rows, self._pivots, n + 1, n)
+        rows = [row + [int(-e * den)] for row, e in zip(self._rows, b)]
+        pivots = _core.echelonize(rows, n + 1)
+        if pivots and pivots[-1] == n:
+            return None
+        v = _back_substitute(rows, pivots, n + 1, n)
         scale = v[n] * den
-        return [Fraction(e, scale) if e else _ZERO for e in v[:n]]
-
+        return [Fraction(e, scale) for e in v[:n]]

@@ -113,7 +113,9 @@ class ProductTerm:
 
     q is stored flat over pair_order(d).  x_i^p_i contributes p_i to
     component i of the multidegree; u_ij^q contributes q to components i
-    and j.
+    and j.  The constructor checks nothing, so that building a term stays
+    cheap; multidegree(), label() and expand() raise ValueError unless q
+    has one entry per pair and no exponent is negative.
     """
 
     p: tuple[int, ...]
@@ -123,7 +125,13 @@ class ProductTerm:
     def d(self) -> int:
         return len(self.p)
 
+    def _check(self) -> None:
+        d = self.d
+        if len(self.q) != d * (d - 1) // 2 or any(e < 0 for e in self.p + self.q):
+            raise ValueError(f"malformed product exponents p={self.p}, q={self.q}")
+
     def multidegree(self) -> tuple[int, ...]:
+        self._check()
         n = list(self.p)
         for (i, j), e in zip(pair_order(self.d), self.q):
             n[i - 1] += e
@@ -131,6 +139,7 @@ class ProductTerm:
         return tuple(n)
 
     def label(self) -> str:
+        self._check()
         parts = []
         for i, e in enumerate(self.p, start=1):
             if e == 1:
@@ -195,7 +204,10 @@ def _times_u(column: dict[int, int], si: int, sj: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def expand(t: ProductTerm) -> Polynomial:
-    """Multiply the product out; the result is always a constant of delta."""
+    """Multiply the product out; the result is always a constant of delta.
+
+    A malformed t raises ValueError, through t.multidegree().
+    """
     n = t.multidegree()
     basis = component_basis(t.d, n)
     strides = component_strides(t.d, n)
@@ -289,8 +301,11 @@ def span_dimension(d: int, n: tuple[int, ...]) -> int:
 
     It is the number of distinct leads of the standard products, a basis
     of the products' span; only they are expanded and checked constant.
+    As in verify_component, (d, n) is checked and the rank read from its
+    sorted content, so only sorted contents are keys of the span table.
     """
-    return _span_rank(d, n)[0]
+    c = tuple(sorted(component_content(d, n)))
+    return _span_rank(len(c), c)[0]
 
 
 def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:

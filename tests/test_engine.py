@@ -49,6 +49,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, prod
 from operator import mul
 
@@ -144,6 +145,25 @@ def test_span_rank_matches_standard_count():
         assert span_dimension(d, n) == len(_standard_columns(d, n)) == unsplit, n
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_span_dimension_rejects_invalid_multidegrees(warm, cold_engine):
+    if warm:
+        assert span_dimension(2, (1, 1)) == 2
+    for d, n in [(2, (-1, 3)), (2, (1, 1, 0)), (3, (1, 1))]:
+        with pytest.raises(ValueError):
+            span_dimension(d, n)
+
+
+def test_span_dimension_is_invariant_under_permutation(cold_engine):
+    for n in [(3, 0, 1, 2), (2, 2, 1, 0), (0, 4, 1, 1)]:
+        expected = span_dimension(4, tuple(sorted(n)))
+        for sigma in set(permutations(n)):
+            clear_engine()
+            assert span_dimension(4, sigma) == expected, sigma
+            # only sorted contents key the span table
+            assert all(list(c) == sorted(c) for _, c in products._BLOCK_SPANS), sigma
+
+
 def test_span_rank_is_the_standard_count_and_the_kostka_sum():
     """Every sorted content of d=6 |n|<=8, through the warm span table."""
     contents = sorted({tuple(sorted(filter(None, n))) for n in enumerate_multidegrees(6, 8)})
@@ -180,6 +200,16 @@ def test_decompose_agrees_with_all_product_solver():
                 for t, c in certificate.items():
                     rebuilt = rebuilt + expand(t) * c
                 assert rebuilt == g, n
+
+
+def test_decompose_lists_terms_in_q_then_p_order():
+    """The CLI prints a certificate in the order decompose returns it."""
+    count = 0
+    for _, _, f in certificate_inputs():
+        terms = list(decompose(f))
+        assert terms == sorted(terms, key=lambda t: (t.q, t.p)), f
+        count += len(terms) > 1
+    assert count > 100
 
 
 def weighted_columns(d, n):

@@ -16,7 +16,9 @@ ladder check moved from Fraction Polynomials to integer vectors, once
 per sorted content.  The d=8 L=6 tier, whose 3,003 rows fall on few
 sorted contents, was recorded before the tensor checks were computed
 once per sorted content; CI checks the d=2 L=12, d=2 L=13, d=3 L=10 and
-d=6 L=7 tiers through the CLI.  golden/kernel.txt holds
+d=6 L=7 tiers through the CLI.  The capped tier pins the --cap
+enumeration; CI checks d=12 |n|<=12 cap 1, every multilinear component,
+through the CLI.  golden/kernel.txt holds
 `weitz kernel` output recorded before the integer component engine
 replaced the Polynomial route, and golden/decompose.txt holds
 `weitz decompose --format json` certificates recorded before the solver's
@@ -63,6 +65,11 @@ INVARIANTS = [
     (8, 10, 43758, "8d34e4e42cdd774c3fb7346dd83f4982fc8d82e6cae0899ea0c86cfb8065cace"),
 ]
 
+# (d, max_degree, per-index cap, components, digest): the --cap enumeration
+CAPPED = [
+    (5, 10, 2, 243, "f7612a59f3f69e38bd5af385f2333330a23e7bfb96b90c6a3009c9c96c2d669e"),
+]
+
 CROSSCHECK = [
     (2, 6, 28, "912a55e3a3ec048c122525a8c373ce3890fe90191891d8449035fabede48380e"),
     (3, 4, 35, "c6b76c851ea716e1de138963ea536f314be6a4f4d0ccde1559d8c4af0b2e74d6"),
@@ -92,12 +99,22 @@ def golden_kernel_runs():
     return [(args, output) for args, _, output in golden_runs("kernel.txt")]
 
 
-@pytest.mark.parametrize("d,max_degree,components,digest", INVARIANTS)
-def test_invariant_digests(d, max_degree, components, digest):
-    report = run_verify_sweep(SweepConfig(d=d, max_total_degree=max_degree)).to_dict()
+def check_sweep(config, components, digest):
+    report = run_verify_sweep(config).to_dict()
     assert report["aggregate"]["components_checked"] == components
     assert report["aggregate"]["violations"] == 0
     assert report["content_digest"] == digest
+
+
+@pytest.mark.parametrize("d,max_degree,components,digest", INVARIANTS)
+def test_invariant_digests(d, max_degree, components, digest):
+    check_sweep(SweepConfig(d=d, max_total_degree=max_degree), components, digest)
+
+
+@pytest.mark.parametrize("d,max_degree,cap,components,digest", CAPPED)
+def test_capped_invariant_digests(d, max_degree, cap, components, digest):
+    config = SweepConfig(d=d, max_total_degree=max_degree, per_index_cap=cap)
+    check_sweep(config, components, digest)
 
 
 def test_to_json_writes_the_bytes_of_json_dumps():

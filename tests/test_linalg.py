@@ -114,7 +114,7 @@ def test_solver_matches_bareiss(monkeypatch, sparse):
             else:
                 b = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)]
             x = ours.solve(b)
-            assert x == theirs.solve(b)
+            assert x == under_bareiss(monkeypatch, theirs.solve, b)
             outcomes["solved" if x is not None else "inconsistent"] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
@@ -176,6 +176,18 @@ def test_solver_prefers_early_columns():
     solver = LinearSolver([[1, 1, 0], [0, 0, 1]], 3)
     x = solver.solve([Fraction(3), Fraction(7)])
     assert x == [Fraction(3), Fraction(0), Fraction(7)]
+
+
+def test_solver_leaves_callers_rows_alone():
+    rows = [[2, 4, 0], [1, 2, 3], [0, 0, 6]]
+    before = copy(rows)
+    solver = LinearSolver(rows, 3)
+    assert solver.rank == 2
+    assert solver.solve([2, Fraction(3, 2), 1]) == [Fraction(1), Fraction(0), Fraction(1, 6)]
+    assert solver.solve([1, 0, 0]) is None
+    with pytest.raises(ValueError):
+        solver.solve([1, 0])
+    assert rows == before
 
 
 def test_solver_random_round_trip():

@@ -83,6 +83,22 @@ def test_expand_examples():
     assert sq == x1**2 * y2**2 - 2 * x1 * x2 * y1 * y2 + x2**2 * y1**2
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        ProductTerm((0, 0), (1, 2)),  # a second pair exponent in d=2
+        ProductTerm((0, 0, 0), (1,)),  # two pair exponents missing in d=3
+        ProductTerm((-1, 0), (1,)),
+        ProductTerm((0, 1), (-1,)),
+    ],
+    ids=["long-q", "short-q", "negative-p", "negative-q"],
+)
+def test_malformed_product_terms_are_rejected(term):
+    for method in (term.multidegree, term.label, lambda: expand(term)):
+        with pytest.raises(ValueError, match="malformed product exponents"):
+            method()
+
+
 def test_expansions_are_constants():
     for n in enumerate_multidegrees(3, 4):
         for t in enumerate_products(3, n):
