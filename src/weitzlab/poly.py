@@ -6,9 +6,12 @@ x-exponents and then the y-exponents, so x1*y2^3 in K[X_2, Y_2] is
 Monomial((1, 0), (0, 3)), the tuple (1, 0, 0, 3), and dict lookups on
 monomials hash and compare in C.  parse_poly reads the text format
 without a Fraction per term: it sums integer coefficients per monomial,
-parses each distinct factor text once per process, and builds the
-result through Polynomial._of, the constructor that trusts its terms,
-since the grammar already guarantees valid exponents.
+parses each distinct monomial text once per d and each distinct factor
+text once per process, and builds the result through Polynomial._of,
+the constructor that trusts its terms, since the grammar already
+guarantees valid exponents.  Its coefficients, like decompose's
+certificate values, come from _fraction, which shares one Fraction per
+recent value.
 
 Two gradings drive the whole engine:
 
@@ -164,6 +167,17 @@ class Monomial(tuple):
 def _monomial(exponents: Iterable[int]) -> Monomial:
     """A Monomial on flat exponents a + b that are known to be valid."""
     return tuple.__new__(Monomial, exponents)
+
+
+@lru_cache(maxsize=4096)
+def _fraction(numerator: int | Fraction, denominator: int = 1) -> Fraction:
+    """Fraction(numerator, denominator), one shared object per recent argument pair.
+
+    Fractions are immutable, so parse_poly's coefficients and decompose's
+    certificate values can share them; a hit skips Fraction's gcd and
+    its Python-level constructor.
+    """
+    return Fraction(numerator, denominator)
 
 
 def _check_index(i: int, d: int) -> None:
@@ -445,6 +459,11 @@ _CHUNK_RE = re.compile(r"[+-]|[^+\-\s]+")
 # _parse_factor with well-formed factors only; the index depends on no d.
 _FACTORS: dict[str, tuple[int, int, int]] = {}
 
+# d -> monomial text -> Monomial, filled by parse_poly with the texts
+# that _parse_monomial accepts: every factor well formed, every index
+# in 1..d.
+_MONOMIALS: dict[int, dict[str | None, Monomial]] = {}
+
 
 class PolyParseError(ValueError):
     pass
@@ -454,16 +473,21 @@ def parse_poly(text: str, d: int) -> Polynomial:
     """Parse the textual polynomial format; inverse of format_poly.
 
     Coefficients accumulate as ints per monomial; a Fraction is built only
-    for a coefficient written with '/', and the sums become Fractions once
-    per distinct monomial.  Each factor text such as 'x3^5' is parsed once
-    per process (the _FACTORS memo, bounded by the number of distinct
-    factor texts), and its index is checked against d on every use because
-    d varies between calls.  The grammar admits only indices in 1..d and
-    exponents of at least 1, so the result is built unchecked.
+    for a coefficient written with '/', and each sum becomes a Fraction
+    through _fraction, which shares one object per recent value.  The
+    text of each term's monomial, what follows its coefficient and the
+    '*' after it, is parsed once per d (the _MONOMIALS memo, one entry
+    per distinct monomial text seen), so a repeated term costs one dict
+    lookup.  On a miss its factors are read through the _FACTORS memo and
+    each index is checked against d; only texts that pass are stored, so
+    every PolyParseError is raised again on every call.  The grammar
+    admits only indices in 1..d and exponents of at least 1, so the
+    result is built unchecked.
     """
     s = text.strip()
     if not s:
         raise PolyParseError("empty input")
+    monomials = _MONOMIALS.setdefault(d, {})
     terms: dict[Monomial, int | Fraction] = {}
     sign = 1
     expect_term = True
@@ -479,25 +503,20 @@ def parse_poly(text: str, d: int) -> Polynomial:
             continue
         if not expect_term:
             raise PolyParseError(f"missing operator before {chunk!r}")
-        parts = chunk.split("*")
-        head = parts[0]
+        head, star, rest = chunk.partition("*")
         if head.isdecimal():
-            coef, start = int(head), 1
+            coef, mono = int(head), rest if star else None
         elif "/" in head and (m := _COEF_RE.match(head)):
             den = int(m.group(2))
             if den == 0:
                 raise PolyParseError(f"zero denominator in {head!r}")
-            coef, start = Fraction(int(m.group(1)), den), 1
+            coef, mono = Fraction(int(m.group(1)), den), rest if star else None
         else:
-            coef, start = 1, 0
-        ab = [0] * (2 * d)
-        for part in parts[start:]:
-            block, idx, e = _FACTORS.get(part) or _parse_factor(part)
-            if not 1 <= idx <= d:
-                raise PolyParseError(f"index out of range 1..{d} in {part!r}")
-            ab[block * d + idx - 1] += e
+            coef, mono = 1, chunk
+        key = monomials.get(mono)
+        if key is None:
+            key = monomials[mono] = _parse_monomial(mono, d)
         if coef:
-            key = _monomial(ab)
             acc = terms.get(key, 0) + sign * coef
             if acc:
                 terms[key] = acc
@@ -507,7 +526,23 @@ def parse_poly(text: str, d: int) -> Polynomial:
         expect_term = False
     if expect_term:
         raise PolyParseError("dangling operator")
-    return Polynomial._of(d, {m: Fraction(c) for m, c in terms.items()})
+    return Polynomial._of(d, {m: _fraction(c) for m, c in terms.items()})
+
+
+def _parse_monomial(text: str | None, d: int) -> Monomial:
+    """The Monomial of a term's monomial text at d, the key of _MONOMIALS.
+
+    Its factors are text.split('*'), or none when text is None (a bare
+    coefficient), so texts that differ only in where the coefficient
+    ended, such as '7' (None), '7*' ('') and '*x1', stay distinct.
+    """
+    ab = [0] * (2 * d)
+    for part in () if text is None else text.split("*"):
+        block, idx, e = _FACTORS.get(part) or _parse_factor(part)
+        if not 1 <= idx <= d:
+            raise PolyParseError(f"index out of range 1..{d} in {part!r}")
+        ab[block * d + idx - 1] += e
+    return _monomial(ab)
 
 
 def _parse_factor(part: str) -> tuple[int, int, int]:

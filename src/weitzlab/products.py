@@ -23,7 +23,11 @@ standard products lie in the kernel, and equality with its dimension
 means they span it.  The other products are only counted, never expanded.
 
 decompose needs no matrix: a constant is straightened into the standard
-products from its largest position down.
+products from its largest position down.  One pass maps its terms to
+positions and checks each against the first term's multidegree, and
+the certificate's keys are ProductTerm tuples and its values shared
+Fractions (poly._fraction), so a warm decompose builds little beyond
+the residual it straightens.
 
 Both verify_component and decompose key this engine on the component's
 content (poly.component_content): components that differ only by zero
@@ -57,14 +61,15 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import lcm
-from operator import mul
-from typing import Iterator
+from operator import add, mul
+from typing import Iterator, NamedTuple
 
 from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
 from .kernel import DeltaImages, block_key, integer_delta, kernel_blocks
 from .poly import (
     Polynomial,
+    _fraction,
     component_basis,
     component_content,
     component_strides,
@@ -107,15 +112,16 @@ def pair_order(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(1, d + 1), 2))
 
 
-@dataclass(frozen=True)
-class ProductTerm:
+class ProductTerm(NamedTuple):
     """Exponent data for one product x^p * prod u_ij^q_ij.
 
     q is stored flat over pair_order(d).  x_i^p_i contributes p_i to
     component i of the multidegree; u_ij^q contributes q to components i
-    and j.  The constructor checks nothing, so that building a term stays
-    cheap; multidegree(), label() and expand() raise ValueError unless q
-    has one entry per pair and no exponent is negative.
+    and j.  A ProductTerm is the tuple (p, q), so it hashes and compares
+    in C, equals that plain tuple and cannot be changed.  The constructor
+    checks nothing, so that building a term stays cheap; multidegree(),
+    label() and expand() raise ValueError unless q has one entry per pair
+    and no exponent is negative.
     """
 
     p: tuple[int, ...]
@@ -409,23 +415,29 @@ def _component_solver(d: int, c: tuple[int, ...]) -> dict[int, tuple]:
     return table
 
 
-def _certificate(f: Polynomial, n: tuple[int, ...]) -> dict | None:
-    """f as a combination of the standard products of multidegree n, or None.
+def _certificate(f: Polynomial) -> dict | None:
+    """f as a combination of the standard products of its multidegree, or None.
 
-    f is scaled to integers by the lcm of its denominators and
-    straightened from its largest position down: the standard product
-    that leads there takes the whole coefficient, and its column, which
-    lies below its lead, is subtracted.  A position that leads no
-    product means f is outside the span.
+    The multidegree n is read from the first term, and the one pass that
+    turns terms into positions checks every other term against it: a
+    term of another multidegree means None, even where its position
+    would land on a lead of n.  f is scaled to integers by the lcm of its
+    denominators and straightened from its largest position down: the
+    standard product that leads there takes the whole coefficient, and
+    its column, which lies below its lead, is subtracted.  A position
+    that leads no product means f is outside the span.
     """
     d = f.d
-    strides, c, index, slots, names = _coordinates(d, n)
     terms = list(f.terms())
+    n = terms[0][0].multidegree()
+    strides, c, index, slots, names = _coordinates(d, n)
     den = lcm(*[v.denominator for _, v in terms])
-    residual = {
-        sum(map(mul, m[d:], strides)): v.numerator * (den // v.denominator)
-        for m, v in terms
-    }
+    residual = {}
+    for m, v in terms:
+        b = m[d:]
+        if tuple(map(add, m[:d], b)) != n:
+            return None
+        residual[sum(map(mul, b, strides))] = v.numerator * (den // v.denominator)
     table = _component_solver(len(c), c)
     heap = [-pos for pos in residual]
     heapify(heap)
@@ -454,7 +466,7 @@ def _certificate(f: Polynomial, n: tuple[int, ...]) -> dict | None:
         if term is None:  # content indices back to those of n
             p_n, q_n = _spread(p, index, d), _spread(q, slots, d * (d - 1) // 2)
             term = names[lead] = ProductTerm(p_n, q_n)
-        certificate[term] = Fraction(value, den)
+        certificate[term] = _fraction(value, den)
     return certificate
 
 
@@ -489,19 +501,21 @@ def decompose(f: Polynomial) -> dict[ProductTerm, Fraction]:
     The standard products (_standard_columns) are a basis of the
     component, so the certificate is the unique one on them, found by
     straightening with no linear solve; its terms are in increasing q.
-    It re-expands to f exactly, proving f a constant, so delta(f) runs
-    only without one, to pick the error: NotInKernel, else NotHomogeneous,
-    else ConjectureViolation (which contradicts the spanning theorem).
+    It re-expands to f exactly, proving f a constant, so delta(f) and
+    then f.multidegree() run only without one, to pick the error:
+    NotInKernel, else NotHomogeneous, else ConjectureViolation (which
+    contradicts the spanning theorem).  Homogeneity is checked in the
+    same pass that finds the terms' positions (_certificate).
     """
     if f.is_zero:
         return {}
-    n = f.multidegree()
-    certificate = None if n is None else _certificate(f, n)
+    certificate = _certificate(f)
     if certificate is not None:
         return certificate
     image = delta(f)
     if not image.is_zero:
         raise NotInKernel(image)
+    n = f.multidegree()
     if n is None:
         raise NotHomogeneous(
             "input mixes multidegrees; decompose each component separately"

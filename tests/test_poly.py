@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from weitzlab import poly
 from weitzlab.poly import (
     Monomial,
     Polynomial,
@@ -282,6 +283,52 @@ def test_parse_checks_indices_for_every_d():
     for text in ("x3^2*y4", "y1*x3^2"):
         with pytest.raises(PolyParseError, match=r"^index out of range 1\.\.2 in 'x3\^2'$"):
             parse_poly(text, 2)
+
+
+@pytest.fixture
+def fresh_monomials(monkeypatch):
+    """parse_poly on an empty monomial memo, so the first parse of a text misses."""
+    memo = {}
+    monkeypatch.setattr(poly, "_MONOMIALS", memo)
+    return memo
+
+
+def test_parse_memo_keeps_a_bare_coefficient_apart_from_a_dangling_star(fresh_monomials):
+    assert parse_poly("7", 2) == Polynomial.constant(7, 2)
+    for text in ("7*", "7*", "-3/4*"):
+        with pytest.raises(PolyParseError, match=r"^bad factor ''$"):
+            parse_poly(text, 2)
+    for text in ("*x1", "7**x1"):
+        with pytest.raises(PolyParseError, match=r"^bad factor ''$"):
+            parse_poly(text, 2)
+    assert parse_poly("7", 2) == Polynomial.constant(7, 2)
+    assert list(fresh_monomials[2]) == [None]  # no text that failed is stored
+
+
+def test_parse_memo_is_per_d(fresh_monomials):
+    assert parse_poly("x3*y1", 3) == parse_poly_oracle("x3*y1", 3)
+    for _ in range(2):
+        with pytest.raises(PolyParseError, match=r"^index out of range 1\.\.2 in 'x3'$"):
+            parse_poly("x3*y1", 2)
+    assert "x3*y1" in fresh_monomials[3] and "x3*y1" not in fresh_monomials[2]
+
+
+def test_parse_memo_repeated_factor_on_miss_and_hit(fresh_monomials):
+    square = Polynomial.x(1, 2) ** 2
+    assert parse_poly("x1*x1", 2) == square  # miss
+    assert fresh_monomials[2]["x1*x1"] == Monomial((2, 0), (0, 0))
+    assert parse_poly("x1*x1", 2) == square  # hit
+    assert parse_poly("5*x1*x1 - 4*x1^2", 2) == square  # hit, and x1^2 a miss
+
+
+def test_parse_twice_is_equal_with_fraction_coefficients(decompose_stream):
+    d, lines = decompose_stream
+    texts = lines[:200] + ["3/2*x1^2 - y1 + 3/2*x2", "-2/4*y2^3 + 3 - 1 + x1*x1"]
+    for text in texts:
+        first, second = parse_poly(text, d), parse_poly(text, d)
+        assert first == second == parse_poly_oracle(text, d), text
+        for f in (first, second):
+            assert all(type(c) is Fraction for _, c in f.terms()), text
 
 
 @given(poly_strategy())

@@ -9,7 +9,13 @@ import pytest
 from weitzlab import products
 from weitzlab.derivation import delta, is_constant
 from weitzlab.kernel import kernel_basis
-from weitzlab.poly import Polynomial, component_basis, component_content, parse_poly
+from weitzlab.poly import (
+    Polynomial,
+    component_basis,
+    component_content,
+    format_poly,
+    parse_poly,
+)
 from weitzlab.products import (
     ConjectureViolation,
     NotHomogeneous,
@@ -184,6 +190,58 @@ def test_decompose_rejections():
     with pytest.raises(NotInKernel) as err:
         decompose(parse_poly("y1 + x1^2", 1))
     assert err.value.image == Polynomial.x(1, 1)
+
+
+def test_decompose_checks_every_term_against_the_first_terms_multidegree():
+    # under (1, 1)'s strides x1^2 lands on position 0, the lead of x1*x2,
+    # so only the per-term multidegree check keeps it out of a certificate
+    d = 2
+    u12, square = make_u(d, 1, 2), Polynomial.x(1, d) ** 2
+    for f in (u12 + square, square + u12):
+        with pytest.raises(NotHomogeneous):
+            decompose(f)
+    y1, x1_squared = Polynomial.y(1, 1), Polynomial.x(1, 1) ** 2
+    for f in (y1 + x1_squared, x1_squared + y1):
+        with pytest.raises(NotInKernel) as err:
+            decompose(f)
+        assert err.value.image == Polynomial.x(1, 1)
+
+
+def test_decompose_round_trip_through_the_parse_memo():
+    # the second parse of each text reads every monomial from the memo
+    rng = random.Random(27)
+    d = 4
+    for n in enumerate_multidegrees(d, 6):
+        if sum(n) < 5:
+            continue
+        terms = enumerate_products(d, n)
+        f = Polynomial.zero(d)
+        while f.is_zero:  # a Pluecker combination can cancel to zero
+            for t in rng.sample(terms, rng.randint(1, min(4, len(terms)))):
+                f = f + expand(t) * random_rational(rng)
+        text = format_poly(f)
+        first, second = (decompose(parse_poly(text, d)) for _ in range(2))
+        assert list(first.items()) == list(second.items()), n
+        assert all(type(c) is Fraction for c in second.values()), n
+        rebuilt = Polynomial.zero(d)
+        for t, c in second.items():
+            rebuilt = rebuilt + expand(t) * c
+        assert rebuilt == f, n
+
+
+def test_product_term_is_the_tuple_p_q():
+    t = ProductTerm(p=(1, 0, 0), q=(0, 0, 2))
+    assert t == ((1, 0, 0), (0, 0, 2)) and hash(t) == hash(((1, 0, 0), (0, 0, 2)))
+    assert {t: 1}[((1, 0, 0), (0, 0, 2))] == 1
+    assert (t.p, t.q) == ((1, 0, 0), (0, 0, 2))
+    assert repr(t) == "ProductTerm(p=(1, 0, 0), q=(0, 0, 2))"
+    assert t.d == 3
+    assert t.label() == "x1*u23^2"
+    assert t.multidegree() == (1, 2, 2)
+    for name in ("p", "q", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, (0, 0, 0))
+    assert t == ProductTerm((1, 0, 0), (0, 0, 2))
 
 
 def test_decompose_untouched_coefficient_is_a_violation(monkeypatch):
