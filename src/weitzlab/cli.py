@@ -2,13 +2,15 @@
 
 Exit codes: 0 all checks passed, 1 at least one verdict failed (or the
 input polynomial was not a constant), 2 usage or configuration error,
-3 I/O error.
+such as a kernel or decompose component above MAX_COMPONENT_DIMENSION,
+refused before any work, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from math import prod
 
 import click
 
@@ -29,6 +31,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+MAX_COMPONENT_DIMENSION = 10**6
+
 
 def _parse_multidegree(text: str) -> tuple[int, ...]:
     try:
@@ -38,6 +42,20 @@ def _parse_multidegree(text: str) -> tuple[int, ...]:
     if any(k < 0 for k in n):
         raise click.UsageError("multidegree entries must be nonnegative")
     return n
+
+
+def _check_component_size(n: tuple[int, ...]) -> None:
+    """Refuse n if its dimension prod(n_i + 1) is above MAX_COMPONENT_DIMENSION.
+
+    kernel and decompose build an object per monomial or standard product
+    of the component, so a larger one runs for minutes or exhausts memory.
+    """
+    dimension = prod(k + 1 for k in n)
+    if dimension > MAX_COMPONENT_DIMENSION:
+        raise click.UsageError(
+            f"component n={','.join(map(str, n))} has dimension {dimension}, "
+            f"above the limit of {MAX_COMPONENT_DIMENSION}"
+        )
 
 
 def _emit(report, config: SweepConfig) -> None:
@@ -51,6 +69,20 @@ def _emit(report, config: SweepConfig) -> None:
     except OSError as exc:
         click.echo(f"error: cannot write report: {exc}", err=True)
         sys.exit(EXIT_IO)
+
+
+def _sweep_command(config: SweepConfig, run, unit: str) -> None:
+    """Validate config, run the sweep, emit its report and exit with its verdict."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    report = run(config)
+    _emit(report, config)
+    if report.violations:
+        click.echo(f"FAIL: {report.violations} {unit}(s) disagree", err=True)
+        sys.exit(EXIT_VIOLATION)
+    sys.exit(EXIT_OK)
 
 
 @click.group()
@@ -80,16 +112,7 @@ def verify(d, max_degree, cap, output_format, output_path):
         output_format=output_format,
         output_path=output_path,
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    report = run_verify_sweep(config)
-    _emit(report, config)
-    if report.violations:
-        click.echo(f"FAIL: {report.violations} component(s) disagree", err=True)
-        sys.exit(EXIT_VIOLATION)
-    sys.exit(EXIT_OK)
+    _sweep_command(config, run_verify_sweep, "component")
 
 
 @main.command()
@@ -101,6 +124,7 @@ def kernel(d, n_text):
     n = _parse_multidegree(n_text)
     if len(n) != d:
         raise click.UsageError(f"multidegree must have {d} entries")
+    _check_component_size(n)
     basis = kernel_basis(d, n)
     click.echo(f"component n={','.join(map(str, n))}  dimension {basis.dimension}")
     for (p, q), dim in basis.dims_by_biweight:
@@ -132,6 +156,9 @@ def decompose_cmd(d, output_format, split, source):
         parts = poly.multidegree_components()
     else:
         parts = {poly.multidegree(): poly}
+    for n in parts:
+        if n is not None:  # a mixed input fails fast with NotHomogeneous below
+            _check_component_size(n)
     try:
         certificates = {n: decompose(part) for n, part in parts.items()}
     except NotInKernel as exc:
@@ -194,16 +221,7 @@ def crosscheck(d, limit, output_format, output_path):
         output_format=output_format,
         output_path=output_path,
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    report = run_crosscheck(config)
-    _emit(report, config)
-    if report.violations:
-        click.echo(f"FAIL: {report.violations} content(s) disagree", err=True)
-        sys.exit(EXIT_VIOLATION)
-    sys.exit(EXIT_OK)
+    _sweep_command(config, run_crosscheck, "content")
 
 
 if __name__ == "__main__":

@@ -151,7 +151,7 @@ _BLOCK_KERNELS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
 def kernel_blocks(
-    d: int, n: tuple[int, ...], images: DeltaImages | None = None
+    d: int, n: tuple[int, ...]
 ) -> list[tuple[int, list[int], tuple[tuple[int, ...], ...]]]:
     """Integer kernel of delta on component n, one bi-weight block at a time.
 
@@ -159,8 +159,8 @@ def kernel_blocks(
     a nonzero kernel, q ascending.  positions are the block's basis
     positions in component order; vectors is a tuple of integer tuples
     over them, coprime with the first nonzero positive, in nullspace
-    order.  Every vector is checked to be a constant.  images is the
-    component's DeltaImages when the caller has one.
+    order.  Every vector is checked to be a constant, on a DeltaImages
+    of n built here, which holds images only for the blocks eliminated.
 
     A block above the middle whose partner q' = |n| - q + 1 lies below
     it takes its nullity |W_q| - |W_q'| + nullity(q') by transposition
@@ -172,7 +172,7 @@ def kernel_blocks(
     checks pass; a later block with the same key is not eliminated
     again, and builds no delta image.
     """
-    images = DeltaImages(d, n) if images is None else images
+    images = DeltaImages(d, n)
     total = sum(n)
     blocks = positions_by_weight(n)
     nullities: list[int] = []

@@ -256,9 +256,7 @@ def _top_weight(n: tuple[int, ...]) -> int:
 _BLOCK_SPANS: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
 
 
-def _span_rank(
-    d: int, n: tuple[int, ...], images: DeltaImages | None = None
-) -> tuple[int, int]:
+def _span_rank(d: int, n: tuple[int, ...]) -> tuple[int, int]:
     """(rank of the standard products, number of all products) of multidegree n.
 
     A weight's rank is the number of distinct largest positions over its
@@ -271,8 +269,8 @@ def _span_rank(
     is not in _BLOCK_SPANS have their standard products walked, checked
     constant and their leads counted, and their products counted by
     _exponent_walk with no column built; each entry is stored once every
-    one of its columns has passed its check.  images is the component's
-    kernel.DeltaImages when the caller has one.
+    one of its columns has passed its check.  The walk builds its own
+    delta images, so this route shares no state with kernel_blocks.
 
     The sum is a lower bound on the span whatever the walk emits:
     - vectors with k pairwise-distinct leads have rank at least k;
@@ -288,7 +286,7 @@ def _span_rank(
     missing = {q for q, key in enumerate(keys) if key not in _BLOCK_SPANS}
     if missing:
         leads: dict[int, set[int]] = {q: set() for q in missing}
-        for q, _, column in _standard_columns(d, n, images, missing):
+        for q, _, column in _standard_columns(d, n, missing):
             if column:
                 leads[sum(q)].add(max(column))
         counts = Counter(sum(q) for q, _ in _exponent_walk(d, n))
@@ -328,10 +326,7 @@ def pluecker(d: int, i: int, j: int, k: int, l: int) -> Polynomial:
 
 
 def _standard_columns(
-    d: int,
-    c: tuple[int, ...],
-    images: DeltaImages | None = None,
-    weights: set[int] | None = None,
+    d: int, c: tuple[int, ...], weights: set[int] | None = None
 ) -> list[tuple]:
     """(q, p, column) of every standard product of content c, each checked constant.
 
@@ -345,13 +340,13 @@ def _standard_columns(
     covered (one u factor each), and the rest of the copies extend row 1.
     Products with the same choices so far share that part of the column,
     and the constancy check builds the delta image of a position only
-    when a column first touches it (kernel.DeltaImages).  images is the
-    component's DeltaImages when the caller has one.  With weights, only
-    the products of those y-weights, their row-2 lengths, are checked and
-    kept, and no branch is walked past the largest.
+    when a column first touches it, in a kernel.DeltaImages of its own.
+    With weights, only the products of those y-weights, their row-2
+    lengths, are checked and kept, and no branch is walked past the
+    largest.
     """
     strides = component_strides(d, c)
-    images = DeltaImages(d, c) if images is None else images
+    images = DeltaImages(d, c)
     cap = sum(c) if weights is None else max(weights)
     slot = {pair: k for k, pair in enumerate(pair_order(d))}
     q = [0] * len(slot)
@@ -563,20 +558,18 @@ def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
     coordinates.  The Kostka oracle runs on c itself, so that it sees
     the component's own content and shares nothing with that argument.
 
-    The kernel and span sides share one kernel.DeltaImages, so a delta
-    image is built only for a position of a block eliminated here or of
-    a standard product checked here; a block whose key is in its table
-    costs a lookup.  product_count counts every product, standard or
-    not, with no column built.
+    Each route is called on (d, c) alone and builds the delta images it
+    reads, so the routes share no state; a block whose key is in a
+    route's table costs a lookup and builds no image.  product_count
+    counts every product, standard or not, with no column built.
     """
     key = tuple(sorted(c))
     if key != c:
         dim_kernel, dim_span, _, product_count = _content_dimensions(key)
     else:
         d = len(c)
-        images = DeltaImages(d, c)
-        dim_kernel = sum(len(v) for _, _, v in kernel_blocks(d, c, images))
-        dim_span, product_count = _span_rank(d, c, images)
+        dim_kernel = sum(len(v) for _, _, v in kernel_blocks(d, c))
+        dim_span, product_count = _span_rank(d, c)
     return dim_kernel, dim_span, sum(kostka_numbers(c)), product_count
 
 

@@ -6,10 +6,11 @@ stripped; the content digest is the sha256 of exactly that stripped form.
 Components are enumerated in graded lexicographic order (total degree
 first, then tuple order), which keeps reports comparable across machines.
 
-crosscheck audits each sorted nonzero content once (_content_audit): the
-tensor checks of every two-row shape and the sl2 ladder check, on one
-DeltaImages of the content.  The rows stay one per multidegree, each
-with its own n, seconds and fresh check dicts.
+verify and crosscheck share one sweep loop (_sweep), which builds one
+record per multidegree.  crosscheck audits each sorted nonzero content
+once (_content_audit): the tensor checks of every two-row shape and the
+sl2 ladder check, which builds its own delta images.  The rows stay one
+per multidegree, each with its own n, seconds and fresh check dicts.
 """
 
 from __future__ import annotations
@@ -114,12 +115,8 @@ class SweepReport:
             return sum(1 for r in self.rows if not r["ok"])
         return sum(1 for r in self.components if not r.verdict)
 
-    def _digested(self) -> tuple[dict, list[dict]]:
-        """(body, untimed): the report with an empty components list, and its records.
-
-        untimed holds the component records without their timing fields,
-        exactly as the content digest in body hashes them.
-        """
+    def _digested(self) -> dict:
+        """The report with an empty components list, digesting its untimed records."""
         if self.rows:
             untimed = [strip_timing(r) for r in self.rows]
         else:
@@ -144,16 +141,11 @@ class SweepReport:
         body["content_digest"] = hashlib.sha256(
             json.dumps(stripped, sort_keys=True).encode()
         ).hexdigest()
-        return body, untimed
+        return body
 
     def to_dict(self) -> dict:
-        body, records = self._digested()
-        if self.rows:
-            records = self.rows
-        else:  # the digested dicts, seconds put back last
-            for record, c in zip(records, self.components):
-                record["seconds"] = c.seconds
-        body["components"] = records
+        body = self._digested()
+        body["components"] = self.rows or [c.to_dict() for c in self.components]
         return body
 
     def to_json(self) -> str:
@@ -166,7 +158,7 @@ class SweepReport:
         """
         if self.rows:
             return json.dumps(self.to_dict(), indent=2) + "\n"
-        body, _ = self._digested()
+        body = self._digested()
         fields = []
         for key, value in body.items():
             if key == "components" and self.components:
@@ -238,40 +230,42 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
+def _sweep(config: SweepConfig, limit: int, record) -> tuple[list, float]:
+    """(record(d, n) for each n with |n| <= limit, seconds), after config.validate()."""
+    config.validate()
+    start = time.perf_counter()
+    degrees = enumerate_multidegrees(config.d, limit, config.per_index_cap)
+    records = [record(config.d, n) for n in degrees]
+    return records, time.perf_counter() - start
+
+
 def run_verify_sweep(config: SweepConfig) -> SweepReport:
     """verify_component over every multidegree in the configured box, serially.
 
-    verify_component is read as this module's global on every call, so
-    rebinding report.verify_component (as perfbench's tracer does) takes
-    effect.
+    verify_component is read as this module's global when the sweep
+    starts, so rebinding report.verify_component before it (as
+    perfbench's tracer does) takes effect.
     """
-    config.validate()
-    start = time.perf_counter()
-    degrees = enumerate_multidegrees(
-        config.d, config.max_total_degree, config.per_index_cap
-    )
-    return SweepReport(
-        config=config,
-        components=[verify_component(config.d, n) for n in degrees],
-        total_seconds=time.perf_counter() - start,
-    )
+    components, seconds = _sweep(config, config.max_total_degree, verify_component)
+    return SweepReport(config=config, components=components, total_seconds=seconds)
 
 
 # ------------------------------------------------------------------ crosscheck
 
 
-def _chains_ok(c: tuple[int, ...], raising: DeltaImages) -> bool:
+def _chains_ok(c: tuple[int, ...]) -> bool:
     """Whether every kernel vector of content c heads its sl2 string, d = len(c).
 
     A constant w of y-weight q, with h = |c| - 2q, has the rungs w_0 = w
     and w_k, the lowering (x_i -> y_i) of w_k-1.  delta must step rung k
     back onto exactly k * (h - k + 1) * rung k-1 for k = 1..h, which
     makes those rungs nonzero; h must be at least 0 and the lowering of
-    rung h zero.  All on integer vectors; raising is DeltaImages(d, c).
+    rung h zero.  All on integer vectors, with raising and lowering
+    images built here.
     """
     d, total = len(c), sum(c)
-    lowering = LoweringImages(d, c)
-    for q, source, vectors in kernel_blocks(d, c, raising):
+    raising, lowering = DeltaImages(d, c), LoweringImages(d, c)
+    for q, source, vectors in kernel_blocks(d, c):
         h = total - 2 * q
         for v in vectors:
             rung = {pos: x for pos, x in zip(source, v) if x}
@@ -292,9 +286,10 @@ def _content_audit(c: tuple[int, ...]) -> tuple[tuple[dict, ...], bool]:
     One check per two-row shape of |c|: the Delta kernel rank of its
     weight block and its standard columns (tensor.standard_hwv_columns)
     against the tableau count, and the columns' projection onto the
-    component c against its delta.  The projection check and the ladder
-    check (_chains_ok) share one DeltaImages.  A check's shape is a
-    tuple, so that the cached entry holds nothing a row can change.
+    component c against its delta, on a DeltaImages of c that serves
+    only this check; the ladder check (_chains_ok) builds its own.  A
+    check's shape is a tuple, so that the cached entry holds nothing a
+    row can change.
     """
     from .tensor import position_strides, project, standard_hwv_columns
 
@@ -323,7 +318,7 @@ def _content_audit(c: tuple[int, ...]) -> tuple[tuple[dict, ...], bool]:
                 "ok": agree and constants and basis.independent and equivariant,
             }
         )
-    return tuple(checks), _chains_ok(c, raising)
+    return tuple(checks), _chains_ok(c)
 
 
 def _crosscheck_component(d: int, n: tuple[int, ...]) -> dict:
@@ -354,16 +349,6 @@ def run_crosscheck(config: SweepConfig) -> SweepReport:
     One row per multidegree; its checks are read from the cache of its
     sorted nonzero content (see _crosscheck_component).
     """
-    config.validate()
-    start = time.perf_counter()
-    degrees = enumerate_multidegrees(
-        config.d, config.tensor_crosscheck_limit, config.per_index_cap
-    )
-    rows = [_crosscheck_component(config.d, n) for n in degrees]
-    return SweepReport(
-        config=config,
-        components=[],
-        rows=rows,
-        kind="crosscheck",
-        total_seconds=time.perf_counter() - start,
-    )
+    limit = config.tensor_crosscheck_limit
+    rows, seconds = _sweep(config, limit, _crosscheck_component)
+    return SweepReport(config, [], seconds, kind="crosscheck", rows=rows)

@@ -82,9 +82,8 @@ class StandardTableau:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def standard_tableaux(shape: Partition) -> tuple[StandardTableau, ...]:
-    """Exhaustive enumeration, ordered by row-reading word."""
+    """Exhaustive enumeration, ordered by row-reading word; its caller caches it."""
     l1, l2 = _check_partition(shape)
     n = l1 + l2
     found = []
@@ -102,7 +101,6 @@ def standard_tableau_count(shape: Partition) -> int:
     return comb(l1 + l2, l2) * (l1 - l2 + 1) // (l1 + 1)
 
 
-@lru_cache(maxsize=None)
 def kostka_numbers(content: tuple[int, ...]) -> tuple[int, ...]:
     """K_{(|n|-b, b), n} for b = 0..|n|//2: every two-row shape of content n.
 
@@ -113,6 +111,7 @@ def kostka_numbers(content: tuple[int, ...]) -> tuple[int, ...]:
     under a smaller letter, so t <= k and b + t <= placed - b.  The new
     ways[c] sums the old ways[b] over c - k <= b <= min(c, placed - c),
     one prefix-sum difference: O(len(content) * |n|) additions in all.
+    Not cached: products._content_dimensions, which calls it, is cached.
     """
     if any(k < 0 for k in content):
         raise ValueError("content entries must be nonnegative")

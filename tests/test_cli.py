@@ -12,7 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import weitzlab
+from weitzlab import cli
 from weitzlab.cli import main
+from weitzlab.kernel import KernelBasis
 from weitzlab.report import (
     SweepConfig,
     enumerate_multidegrees,
@@ -182,6 +184,46 @@ def test_kernel_command_bad_n(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["kernel", "--d", "2", "--n", "1,1,1"])
     assert result.exit_code == 2
+
+
+def never_called(*args):
+    raise AssertionError(f"called with {args}")
+
+
+def test_kernel_refuses_an_oversized_component_up_front(runner, monkeypatch):
+    monkeypatch.setattr(cli, "kernel_basis", never_called)
+    refused = [("1000,1000", 1_002_001), ("3000000,3000000", 9_000_006_000_001)]
+    for n_text, dimension in refused:
+        result = runner.invoke(main, ["kernel", "--d", "2", "--n", n_text])
+        assert result.exit_code == 2, result.output
+        assert f"component n={n_text} has dimension {dimension}, above the limit" in (
+            result.output
+        )
+    called = []
+    monkeypatch.setattr(
+        cli, "kernel_basis", lambda d, n: called.append(n) or KernelBasis(d, n, (), ())
+    )
+    result = runner.invoke(main, ["kernel", "--d", "2", "--n", "999,999"])  # 10**6 exactly
+    assert result.exit_code == 0 and called == [(999, 999)]
+
+
+def test_decompose_refuses_an_oversized_component_up_front(runner, monkeypatch):
+    monkeypatch.setattr(cli, "decompose", never_called)
+    refused = [
+        ([], "x1^3000000*x2^3000000", "3000000,3000000", 9_000_006_000_001),
+        ([], "x1^30000000", "30000000,0", 30_000_001),
+        (["--split"], "x1 + x1^3000000*x2^3000000", "3000000,3000000", 9_000_006_000_001),
+    ]
+    for flags, text, n_text, dimension in refused:
+        result = runner.invoke(main, ["decompose", "--d", "2", *flags], input=text + "\n")
+        assert result.exit_code == 2, result.output
+        assert f"component n={n_text} has dimension {dimension}, above the limit" in (
+            result.output
+        )
+    called = []
+    monkeypatch.setattr(cli, "decompose", lambda f: called.append(f.multidegree()) or {})
+    result = runner.invoke(main, ["decompose", "--d", "2"], input="x1^999*x2^999\n")
+    assert result.exit_code == 0 and called == [(999, 999)]
 
 
 def test_decompose_determinant(runner):

@@ -45,7 +45,9 @@ change.
 """
 
 import copy
+import importlib
 import json
+import pkgutil
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -56,6 +58,7 @@ from operator import mul
 import pytest
 from click.testing import CliRunner
 
+import weitzlab
 from weitzlab import kernel, products, report, tensor
 from weitzlab.derivation import delta
 from weitzlab.cli import main
@@ -67,7 +70,13 @@ from weitzlab.kernel import (
     kernel_blocks,
 )
 from weitzlab.linalg import LinearSolver, integer_rank
-from weitzlab.poly import Polynomial, component_basis, component_content, component_strides
+from weitzlab.poly import (
+    Polynomial,
+    component_basis,
+    component_content,
+    component_strides,
+    parse_poly,
+)
 from weitzlab.products import (
     ConjectureViolation,
     NotInKernel,
@@ -242,6 +251,52 @@ def test_sweep_records_equal_cold_recomputation():
         clear_engine()
         fresh = verify_component(4, record.n)
         assert replace(record, seconds=0) == replace(fresh, seconds=0)
+
+
+# The lru_caches that only the benchmark's worker reads: perfbench/worker.py
+# lists them as the package's caches.  No verify, crosscheck or decompose
+# route takes a hit on them; they go with the benchmark rework (ROADMAP
+# items 1 and 8).
+WORKER_ONLY_CACHES = {
+    "poly.component_basis",
+    "kernel.kernel_basis",
+    "products.enumerate_products",
+    "products.expand",
+    "tableaux.kostka",
+}
+
+
+def package_caches() -> dict:
+    """Every lru_cache the package defines, as module.name (package prefix dropped)."""
+    caches = {}
+    for info in pkgutil.iter_modules(weitzlab.__path__):
+        module = importlib.import_module(f"weitzlab.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
+def test_every_route_cache_takes_a_hit(decompose_stream):
+    """A cache no route reads twice only costs memory: each one must hit on
+    the three units of work, a verify sweep, the decompose stream and a
+    crosscheck, run from cold."""
+    caches = package_caches()
+    assert WORKER_ONLY_CACHES < caches.keys()
+    for cache in caches.values():
+        cache.cache_clear()
+    clear_engine()
+    run_verify_sweep(SweepConfig(d=4, max_total_degree=8))
+    d, lines = decompose_stream
+    for text in lines:
+        decompose(parse_poly(text, d))
+    report.run_crosscheck(SweepConfig(d=3, tensor_crosscheck_limit=9))
+    idle = [
+        name
+        for name, cache in sorted(caches.items())
+        if name not in WORKER_ONLY_CACHES and not cache.cache_info().hits
+    ]
+    assert idle == []
 
 
 @pytest.fixture
@@ -576,24 +631,32 @@ def test_blocks_of_a_content_are_those_of_its_sorted_content():
 
 
 def test_an_unsorted_content_is_computed_through_its_sorted_one(monkeypatch, cold_engine):
+    """Each route is called with the sorted content alone: no state is passed
+    between routes.  The Kostka oracle also runs on the component's own content."""
     calls = []
 
     def record(name, real):
-        def recorded(d, c, *args):
-            calls.append((name, c))
-            return real(d, c, *args)
+        def recorded(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(products, name, recorded)
 
     record("kernel_blocks", kernel_blocks)
     record("_span_rank", products._span_rank)
+    record("kostka_numbers", kostka_numbers)
     report = verify_component(3, (3, 1, 2))
-    assert calls == [("kernel_blocks", (1, 2, 3)), ("_span_rank", (1, 2, 3))]
+    assert calls == [
+        ("kernel_blocks", (3, (1, 2, 3)), {}),
+        ("_span_rank", (3, (1, 2, 3)), {}),
+        ("kostka_numbers", ((1, 2, 3),), {}),
+        ("kostka_numbers", ((3, 1, 2),), {}),
+    ]
     assert products._content_dimensions.cache_info().currsize == 2
     assert replace(verify_component(3, (1, 2, 3)), n=report.n, seconds=0) == replace(
         report, seconds=0
     )
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 def types_of(value):
