@@ -2,20 +2,21 @@
 
 Exit codes: 0 all checks passed, 1 at least one verdict failed (or the
 input polynomial was not a constant), 2 usage or configuration error,
-such as a kernel or decompose component above MAX_COMPONENT_DIMENSION,
-refused before any work, 3 I/O error.
+such as a kernel or decompose component above MAX_COMPONENT_DIMENSION or
+a kernel or crosscheck weight block above MAX_BLOCK_SIZE, refused before
+any work, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from math import prod
+from math import comb, prod
 
 import click
 
 from ._version import __version__
-from .kernel import kernel_basis
+from .kernel import kernel_basis, weight_block_sizes
 from .poly import PolyParseError, format_poly, parse_poly
 from .products import (
     ConjectureViolation,
@@ -32,6 +33,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 MAX_COMPONENT_DIMENSION = 10**6
+# Weight blocks are eliminated as dense matrices, each step of (1^n) 5-7 times
+# slower than the last: (1^14)'s middle block, 3432 positions, takes a minute.
+MAX_BLOCK_SIZE = comb(14, 7)
 
 
 def _parse_multidegree(text: str) -> tuple[int, ...]:
@@ -55,6 +59,15 @@ def _check_component_size(n: tuple[int, ...]) -> None:
         raise click.UsageError(
             f"component n={','.join(map(str, n))} has dimension {dimension}, "
             f"above the limit of {MAX_COMPONENT_DIMENSION}"
+        )
+
+
+def _check_block_size(size: int, what: str) -> None:
+    """Refuse a kernel or crosscheck run with a weight block above MAX_BLOCK_SIZE."""
+    if size > MAX_BLOCK_SIZE:
+        raise click.UsageError(
+            f"{what} has a weight block of {size} positions, "
+            f"above the limit of {MAX_BLOCK_SIZE}"
         )
 
 
@@ -125,6 +138,7 @@ def kernel(d, n_text):
     if len(n) != d:
         raise click.UsageError(f"multidegree must have {d} entries")
     _check_component_size(n)
+    _check_block_size(max(weight_block_sizes(n)), f"component n={n_text}")
     basis = kernel_basis(d, n)
     click.echo(f"component n={','.join(map(str, n))}  dimension {basis.dimension}")
     for (p, q), dim in basis.dims_by_biweight:
@@ -215,6 +229,7 @@ def decompose_cmd(d, output_format, split, source):
 @click.option("--out", "output_path", default="-", show_default=True)
 def crosscheck(d, limit, output_format, output_path):
     """Audit tableau counts against tensor ranks, plus ladders."""
+    _check_block_size(comb(limit, limit // 2), f"crosscheck --limit {limit}")
     config = SweepConfig(
         d=d,
         tensor_crosscheck_limit=limit,

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .linalg import integer_nullspace
 from .poly import Polynomial, component_basis, component_strides
@@ -53,6 +54,7 @@ from .poly import Polynomial, component_basis, component_strides
 __all__ = [
     "position_weights",
     "positions_by_weight",
+    "weight_block_sizes",
     "DeltaImages",
     "LoweringImages",
     "integer_delta",
@@ -77,6 +79,15 @@ def positions_by_weight(n: tuple[int, ...]) -> list[list[int]]:
     for pos, q in enumerate(position_weights(n)):
         blocks[q].append(pos)
     return blocks
+
+
+def weight_block_sizes(n: tuple[int, ...]) -> list[int]:
+    """len(positions_by_weight(n)[q]) for every q: prod_i (1 + t + ... + t^n_i)."""
+    sizes = [1]
+    for k in n:  # times (1 - t^(k+1)) / (1 - t): a running sum minus its shift
+        running = list(accumulate(sizes + [0] * k))
+        sizes = [a - b for a, b in zip(running, [0] * (k + 1) + running)]
+    return sizes
 
 
 class DeltaImages(dict):

@@ -589,11 +589,10 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     and span numbers of c are those of sorted(c), which is the one
     eliminated, expanded and checked, so a failing side check names
     products by the sorted content's indices; the oracle runs on c
-    itself.  Below the
-    content, each distinct y-weight block (kernel.block_key) is
-    eliminated, expanded and checked once per process, and its kernel
-    vectors, lead count and product count are read back for every later
-    content that has it.
+    itself.  Below the content, each distinct y-weight block
+    (kernel.block_key) is eliminated, expanded and checked once per
+    process, and its kernel vectors, lead count and product count are
+    read back for every later content that has it.
     """
     start = time.perf_counter()
     n = tuple(n)

@@ -20,7 +20,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from ._version import __version__
@@ -78,25 +78,22 @@ class SweepConfig:
         }
 
 
-def _compositions(total: int, parts: int, cap: int):
-    """Tuples of `parts` entries in 0..cap summing to total, in lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(max(0, total - cap * (parts - 1)), min(total, cap) + 1):
-        for rest in _compositions(total - first, parts - 1, cap):
-            yield (first,) + rest
-
-
 def enumerate_multidegrees(
     d: int, max_total: int, cap: int | None = None
 ) -> list[tuple[int, ...]]:
-    """All multidegrees with |n| <= max_total, graded lexicographic order."""
-    out = []
-    for total in range(max_total + 1):
-        out.extend(_compositions(total, d, total if cap is None else cap))
-    return out
+    """All multidegrees with |n| <= max_total, graded lexicographic order.
+
+    Pass k makes tails[t], the lex-ordered k-tuples with entries <= cap
+    summing to t, by prepending each entry e to the previous tails[t - e].
+    """
+    top = max_total if cap is None else cap
+    tails = [[()] if t == 0 else [] for t in range(max_total + 1)]
+    for _ in range(d):
+        tails = [
+            [(e,) + rest for e in range(min(t, top) + 1) for rest in tails[t - e]]
+            for t in range(max_total + 1)
+        ]
+    return [n for level in tails for n in level]
 
 
 @dataclass
@@ -174,15 +171,7 @@ class SweepReport:
         buf = io.StringIO()
         rows = self.rows or [c.to_dict() for c in self.components]
         if self.kind == "verify":
-            names = [
-                "n",
-                "dim_kernel",
-                "dim_span",
-                "dim_tableau_oracle",
-                "product_count",
-                "verdict",
-                "seconds",
-            ]
+            names = [f.name for f in fields(ComponentReport)]
         else:
             names = ["n", "checks", "chains_ok", "ok", "seconds"]
         writer = csv.DictWriter(buf, fieldnames=names)

@@ -3,9 +3,9 @@
 Standard tableaux are enumerated exhaustively.  The Kostka numbers of all
 two-row shapes are counted at once by a recurrence that places one letter
 at a time, in time polynomial in the content, and use no linear algebra
-either, which is what an independent oracle needs.  The test suite checks the recurrence against brute-force
-enumeration and the sl2 identity, and the two-row standard tableau count's
-closed form against the enumeration.
+either, which is what an independent oracle needs.  The test suite checks
+the recurrence against brute-force enumeration and the sl2 identity, and
+the two-row standard tableau count's closed form against the enumeration.
 """
 
 from __future__ import annotations
@@ -65,21 +65,6 @@ class StandardTableau:
             raise ValueError("second row must increase")
         if any(self.row1[c] >= self.row2[c] for c in range(l2)):
             raise ValueError("columns must increase")
-
-    def column_reading_permutation(self) -> tuple[int, ...]:
-        """The permutation sigma with sigma(2a-1), sigma(2a) the a-th column.
-
-        Columns of height two are read top-bottom, left to right, then the
-        remaining first-row cells left to right.  Returned 1-based as a
-        tuple sigma with sigma[k-1] = sigma(k).
-        """
-        l1, l2 = self.shape
-        out = []
-        for c in range(l2):
-            out.append(self.row1[c])
-            out.append(self.row2[c])
-        out.extend(self.row1[l2:])
-        return tuple(out)
 
 
 def standard_tableaux(shape: Partition) -> tuple[StandardTableau, ...]:

@@ -17,6 +17,7 @@ from weitzlab.cli import main
 from weitzlab.kernel import KernelBasis
 from weitzlab.report import (
     SweepConfig,
+    SweepReport,
     enumerate_multidegrees,
     run_crosscheck,
     run_verify_sweep,
@@ -153,12 +154,24 @@ def test_enumerate_multidegrees_matches_box_filter():
             out.extend(n for n in box if sum(n) == total)
         return out
 
-    for d in range(1, 5):
+    for d in range(7):
         for max_total in range(7):
-            for cap in (None, 0, 1, 2):
+            for cap in (None, 0, 1, 2, 9):
                 assert enumerate_multidegrees(d, max_total, cap) == box_filter(
                     d, max_total, cap
                 )
+        assert enumerate_multidegrees(d, -1) == []
+
+
+def test_enumerate_multidegrees_at_the_frontier():
+    # the CI tiers' inputs: every multidegree once, graded lex, none missing
+    for d, max_total, cap, count in [(10, 10, None, 184_756), (12, 12, 1, 4_096)]:
+        degrees = enumerate_multidegrees(d, max_total, cap)
+        assert len(degrees) == count
+        keys = [(sum(n), n) for n in degrees]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert {len(n) for n in degrees} == {d}
+        assert max(map(max, degrees)) == (max_total if cap is None else cap)
 
 
 def test_kernel_command(runner):
@@ -205,6 +218,49 @@ def test_kernel_refuses_an_oversized_component_up_front(runner, monkeypatch):
     )
     result = runner.invoke(main, ["kernel", "--d", "2", "--n", "999,999"])  # 10**6 exactly
     assert result.exit_code == 0 and called == [(999, 999)]
+
+
+def test_kernel_refuses_an_oversized_weight_block_up_front(runner, monkeypatch):
+    monkeypatch.setattr(cli, "kernel_basis", never_called)
+    refused = [((1,) * 15, 6435), ((1,) * 16, 12870), ((200, 200, 20), 4111)]
+    for n, block in refused:
+        n_text = ",".join(map(str, n))
+        result = runner.invoke(main, ["kernel", "--d", str(len(n)), "--n", n_text])
+        assert result.exit_code == 2, result.output
+        assert (
+            f"component n={n_text} has a weight block of {block} positions, "
+            "above the limit of 3432"
+        ) in result.output
+    called = []
+    monkeypatch.setattr(
+        cli, "kernel_basis", lambda d, n: called.append(n) or KernelBasis(d, n, (), ())
+    )
+    for n in [(1,) * 14, (300, 300, 10)]:  # middle blocks of 3432 and 3281
+        n_text = ",".join(map(str, n))
+        result = runner.invoke(main, ["kernel", "--d", str(len(n)), "--n", n_text])
+        assert result.exit_code == 0, result.output
+    assert called == [(1,) * 14, (300, 300, 10)]
+
+
+def test_crosscheck_refuses_an_oversized_weight_block_up_front(runner, monkeypatch):
+    monkeypatch.setattr(cli, "run_crosscheck", never_called)
+    for limit, block in [(15, 6435), (16, 12870)]:
+        result = runner.invoke(main, ["crosscheck", "--d", "2", "--limit", str(limit)])
+        assert result.exit_code == 2, result.output
+        assert (
+            f"crosscheck --limit {limit} has a weight block of {block} positions, "
+            "above the limit of 3432"
+        ) in result.output
+    called = []
+
+    def spy(config):
+        called.append(config.tensor_crosscheck_limit)
+        return SweepReport(config, [], 0.0, kind="crosscheck")
+
+    monkeypatch.setattr(cli, "run_crosscheck", spy)
+    result = runner.invoke(main, ["crosscheck", "--d", "2", "--limit", "14"])
+    assert result.exit_code == 0, result.output
+    assert called == [14]
 
 
 def test_decompose_refuses_an_oversized_component_up_front(runner, monkeypatch):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from weitzlab.derivation import exp_action, is_constant
-from weitzlab.kernel import kernel_basis
+from weitzlab.kernel import kernel_basis, positions_by_weight, weight_block_sizes
 from weitzlab.linalg import integer_rank
 from weitzlab.poly import Polynomial, component_basis, format_poly
 from weitzlab.report import enumerate_multidegrees
@@ -106,6 +106,15 @@ def test_rank_nullity_exact():
                 size *= k + 1
             assert len(m) == size
             assert rank(m) + kernel_basis(d, n).dimension == size
+
+
+def test_weight_block_sizes_count_the_positions_by_weight():
+    # the coefficients of prod (1 + t + ... + t^n_i), against the positions
+    for d in range(5):
+        for n in enumerate_multidegrees(d, 8, 4):
+            assert weight_block_sizes(n) == [len(b) for b in positions_by_weight(n)], n
+    assert weight_block_sizes((1,) * 14)[7] == 3432
+    assert max(weight_block_sizes((1,) * 16)) == 12870
 
 
 def test_biweight_block_structure():

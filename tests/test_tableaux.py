@@ -48,15 +48,6 @@ def test_standard_tableau_validation():
         StandardTableau((1, 2), (1,), (2, 3))  # not a partition
 
 
-def test_column_reading_permutation():
-    t = StandardTableau((2, 1), (1, 3), (2,))
-    assert t.column_reading_permutation() == (1, 2, 3)
-    t = StandardTableau((3, 2), (1, 3, 5), (2, 4))
-    assert t.column_reading_permutation() == (1, 2, 3, 4, 5)
-    t = StandardTableau((3, 2), (1, 2, 4), (3, 5))
-    assert t.column_reading_permutation() == (1, 3, 2, 5, 4)
-
-
 def test_closed_form_matches_enumeration_up_to_10():
     for total in range(0, 11):
         for shape in two_row_partitions(total):

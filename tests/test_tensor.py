@@ -220,13 +220,16 @@ def test_smallest_masks_are_the_row_2_sets():
 
 def test_standard_basis_matches_place_permuted_special():
     # the tableau placement equals acting on the adjacent-pairs element by
-    # the inverse column-reading permutation (d = 1 so indices are mute)
+    # the inverse column-reading permutation (d = 1 so indices are mute):
+    # sigma reads the height-two columns top to bottom, left to right, then
+    # the rest of the first row
     for shape in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         n = (sum(shape),)
         basis = standard_hwv_words(n, shape)
         base = special_hwv_words(((1, 1),) * shape[1], (1,) * (shape[0] - shape[1]))
         for tableau, elem in zip(standard_tableaux(shape), basis, strict=True):
-            sigma = tableau.column_reading_permutation()
+            columns = zip(tableau.row1, tableau.row2)
+            sigma = [k for column in columns for k in column] + [*tableau.row1[shape[1]:]]
             inverse = [0] * len(sigma)
             for pos, value in enumerate(sigma):
                 inverse[value - 1] = pos
