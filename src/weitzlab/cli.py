@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 at least one verdict failed (or the
 input polynomial was not a constant), 2 usage or configuration error,
-such as a kernel or decompose component above MAX_COMPONENT_DIMENSION or
-a kernel or crosscheck weight block above MAX_BLOCK_SIZE, refused before
-any work, 3 I/O error.
+such as a kernel or decompose component above MAX_COMPONENT_DIMENSION, a
+kernel or crosscheck weight block above MAX_BLOCK_SIZE or a decompose one
+above MAX_STANDARD_PRODUCTS, refused before any work, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ MAX_COMPONENT_DIMENSION = 10**6
 # Weight blocks are eliminated as dense matrices, each step of (1^n) 5-7 times
 # slower than the last: (1^14)'s middle block, 3432 positions, takes a minute.
 MAX_BLOCK_SIZE = comb(14, 7)
+# decompose builds one standard product per position of the largest block:
+# (1^15)'s 6435 take 0.7 s, (1^16)'s 12870 2.2 s and 200 MB.
+MAX_STANDARD_PRODUCTS = comb(16, 8)
 
 
 def _parse_multidegree(text: str) -> tuple[int, ...]:
@@ -62,12 +65,11 @@ def _check_component_size(n: tuple[int, ...]) -> None:
         )
 
 
-def _check_block_size(size: int, what: str) -> None:
-    """Refuse a kernel or crosscheck run with a weight block above MAX_BLOCK_SIZE."""
-    if size > MAX_BLOCK_SIZE:
+def _check_block_size(size: int, what: str, limit: int = MAX_BLOCK_SIZE) -> None:
+    """Refuse a run whose largest weight block has more than limit positions."""
+    if size > limit:
         raise click.UsageError(
-            f"{what} has a weight block of {size} positions, "
-            f"above the limit of {MAX_BLOCK_SIZE}"
+            f"{what} has a weight block of {size} positions, above the limit of {limit}"
         )
 
 
@@ -173,6 +175,8 @@ def decompose_cmd(d, output_format, split, source):
     for n in parts:
         if n is not None:  # a mixed input fails fast with NotHomogeneous below
             _check_component_size(n)
+            what = f"component n={','.join(map(str, n))}"
+            _check_block_size(max(weight_block_sizes(n)), what, MAX_STANDARD_PRODUCTS)
     try:
         certificates = {n: decompose(part) for n, part in parts.items()}
     except NotInKernel as exc:

@@ -7,7 +7,7 @@ terms), not by substitute-and-subtract.  exp_action and gl2_action are
 the unipotent flow exp(t*delta) and the GL2 substitution of the paper's
 argument, on Polynomials.  The opposite lowering map x_i -> y_i and the
 sl2 ladders it grows are checked on integer vectors
-(kernel.LoweringImages, report._chains_ok).
+(kernel.LoweringImages, tensor._chains_ok).
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ poly.component_strides): delta sends x^a y^b to sum_i b_i x^(a+e_i)
 y^(b-e_i), which in component order is the entry b_i at position
 pos - stride_i.  The lowering map x_i -> y_i, which crosscheck's ladder
 check applies (LoweringImages), has the entry a_i = n_i - b_i at
-pos + stride_i.  kernel_basis only turns the integer vectors into
+pos + stride_i.  times_u multiplies a vector by u_ij, for the span route
+(products) and crosscheck (tensor), and block_rows gives crosscheck the
+block matrices.  kernel_basis only turns the integer vectors into
 Polynomials at the end.
 
 A weight-q block sees each exponent only through min(n_i, q): its
@@ -52,31 +54,27 @@ from .linalg import integer_nullspace
 from .poly import Polynomial, component_basis, component_strides
 
 __all__ = [
-    "position_weights",
     "positions_by_weight",
     "weight_block_sizes",
     "DeltaImages",
     "LoweringImages",
     "integer_delta",
+    "times_u",
     "block_key",
+    "block_rows",
     "kernel_blocks",
     "KernelBasis",
     "kernel_basis",
 ]
 
 
-def position_weights(n: tuple[int, ...]) -> list[int]:
-    """The y-weight sum(b) of every position of component n, in position order."""
-    weights = [0]
-    for k in n:
-        weights = [w + e for w in weights for e in range(k + 1)]
-    return weights
-
-
 def positions_by_weight(n: tuple[int, ...]) -> list[list[int]]:
     """The positions of component n grouped by y-weight: entry q lists W_q ascending."""
+    weights = [0]
+    for k in n:  # the y-weight sum(b) of every position, in position order
+        weights = [w + e for w in weights for e in range(k + 1)]
     blocks: list[list[int]] = [[] for _ in range(sum(n) + 1)]
-    for pos, q in enumerate(position_weights(n)):
+    for pos, q in enumerate(weights):
         blocks[q].append(pos)
     return blocks
 
@@ -139,12 +137,25 @@ def integer_delta(
     return {pos: c for pos, c in out.items() if c}
 
 
+def times_u(column: dict[int, int], si: int, sj: int) -> dict[int, int]:
+    """column * u_ij in component coordinates, zeros dropped.
+
+    Positions count y-exponents only, so u_ij = x_i y_j - x_j y_i adds
+    stride_j with sign + and stride_i with sign -.
+    """
+    out: dict[int, int] = {}
+    for pos, c in column.items():
+        out[pos + sj] = out.get(pos + sj, 0) + c
+        out[pos + si] = out.get(pos + si, 0) - c
+    return {pos: c for pos, c in out.items() if c}
+
+
 def block_key(n: tuple[int, ...], q: int) -> tuple[int, tuple[int, ...]]:
     """(q, min(c_i, q) for the content c of n): what fixes n's weight-q blocks."""
     return q, tuple([k if k < q else q for k in n if k])
 
 
-def _block_rows(
+def block_rows(
     images: DeltaImages, source: list[int], target: list[int]
 ) -> list[list[int]]:
     """delta from the positions source to the positions target, as dense rows."""
@@ -200,7 +211,7 @@ def kernel_blocks(
         vectors = _BLOCK_KERNELS.get(key)
         if vectors is None:
             target = blocks[q - 1] if q else []
-            rows = _block_rows(images, source, target)
+            rows = block_rows(images, source, target)
             vectors = tuple(map(tuple, integer_nullspace(rows, len(source))))
             for v in vectors:
                 if integer_delta(images, dict(zip(source, v))):

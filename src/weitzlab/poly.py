@@ -10,8 +10,8 @@ parses each distinct monomial text once per d and each distinct factor
 text once per process, and builds the result through Polynomial._of,
 the constructor that trusts its terms, since the grammar already
 guarantees valid exponents.  Its coefficients, like decompose's
-certificate values, come from _fraction, which shares one Fraction per
-recent value.
+certificate values, come from shared_fraction, which shares one
+Fraction per recent value.
 
 Two gradings drive the whole engine:
 
@@ -48,6 +48,7 @@ __all__ = [
     "format_poly",
     "parse_poly",
     "PolyParseError",
+    "shared_fraction",
 ]
 
 
@@ -170,7 +171,7 @@ def _monomial(exponents: Iterable[int]) -> Monomial:
 
 
 @lru_cache(maxsize=4096)
-def _fraction(numerator: int | Fraction, denominator: int = 1) -> Fraction:
+def shared_fraction(numerator: int | Fraction, denominator: int = 1) -> Fraction:
     """Fraction(numerator, denominator), one shared object per recent argument pair.
 
     Fractions are immutable, so parse_poly's coefficients and decompose's
@@ -474,7 +475,7 @@ def parse_poly(text: str, d: int) -> Polynomial:
 
     Coefficients accumulate as ints per monomial; a Fraction is built only
     for a coefficient written with '/', and each sum becomes a Fraction
-    through _fraction, which shares one object per recent value.  The
+    through shared_fraction, which shares one object per recent value.  The
     text of each term's monomial, what follows its coefficient and the
     '*' after it, is parsed once per d (the _MONOMIALS memo, one entry
     per distinct monomial text seen), so a repeated term costs one dict
@@ -526,7 +527,7 @@ def parse_poly(text: str, d: int) -> Polynomial:
         expect_term = False
     if expect_term:
         raise PolyParseError("dangling operator")
-    return Polynomial._of(d, {m: _fraction(c) for m, c in terms.items()})
+    return Polynomial._of(d, {m: shared_fraction(c) for m, c in terms.items()})
 
 
 def _parse_monomial(text: str | None, d: int) -> Monomial:

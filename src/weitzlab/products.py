@@ -26,8 +26,8 @@ decompose needs no matrix: a constant is straightened into the standard
 products from its largest position down.  One pass maps its terms to
 positions and checks each against the first term's multidegree, and
 the certificate's keys are ProductTerm tuples and its values shared
-Fractions (poly._fraction), so a warm decompose builds little beyond
-the residual it straightens.
+Fractions (poly.shared_fraction), so a warm decompose builds little
+beyond the residual it straightens.
 
 Both verify_component and decompose key this engine on the component's
 content (poly.component_content): components that differ only by zero
@@ -66,14 +66,14 @@ from typing import Iterator, NamedTuple
 
 from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
-from .kernel import DeltaImages, block_key, integer_delta, kernel_blocks
+from .kernel import DeltaImages, block_key, integer_delta, kernel_blocks, times_u
 from .poly import (
     Polynomial,
-    _fraction,
     component_basis,
     component_content,
     component_strides,
     format_poly,
+    shared_fraction,
 )
 from .tableaux import kostka_numbers
 
@@ -195,19 +195,6 @@ def enumerate_products(d: int, n: tuple[int, ...]) -> tuple[ProductTerm, ...]:
     return tuple(ProductTerm(tuple(p), tuple(q)) for q, p in _exponent_walk(d, n))
 
 
-def _times_u(column: dict[int, int], si: int, sj: int) -> dict[int, int]:
-    """column * u_ij in component coordinates, zeros dropped.
-
-    Positions count y-exponents only, so u_ij = x_i y_j - x_j y_i adds
-    stride_j with sign + and stride_i with sign -.
-    """
-    out: dict[int, int] = {}
-    for pos, c in column.items():
-        out[pos + sj] = out.get(pos + sj, 0) + c
-        out[pos + si] = out.get(pos + si, 0) - c
-    return {pos: c for pos, c in out.items() if c}
-
-
 @lru_cache(maxsize=None)
 def expand(t: ProductTerm) -> Polynomial:
     """Multiply the product out; the result is always a constant of delta.
@@ -220,7 +207,7 @@ def expand(t: ProductTerm) -> Polynomial:
     column = {0: 1}
     for (i, j), e in zip(pair_order(t.d), t.q):
         for _ in range(e):
-            column = _times_u(column, strides[i - 1], strides[j - 1])
+            column = times_u(column, strides[i - 1], strides[j - 1])
     return Polynomial(t.d, {basis[pos]: c for pos, c in column.items()})
 
 
@@ -368,7 +355,7 @@ def _standard_columns(
         for k in range(min(count, len(top) - covered, cap - covered) + 1):
             if k:
                 b = top[covered + k - 1]
-                column = _times_u(column, strides[l - 1], strides[b - 1])
+                column = times_u(column, strides[l - 1], strides[b - 1])
                 q[slot[l, b]] += 1
             place(l - 1, top + [l] * (count - k), covered + k, column)
         for b in top[covered : covered + k]:
@@ -461,7 +448,7 @@ def _certificate(f: Polynomial) -> dict | None:
         if term is None:  # content indices back to those of n
             p_n, q_n = _spread(p, index, d), _spread(q, slots, d * (d - 1) // 2)
             term = names[lead] = ProductTerm(p_n, q_n)
-        certificate[term] = _fraction(value, den)
+        certificate[term] = shared_fraction(value, den)
     return certificate
 
 

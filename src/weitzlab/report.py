@@ -7,10 +7,9 @@ Components are enumerated in graded lexicographic order (total degree
 first, then tuple order), which keeps reports comparable across machines.
 
 verify and crosscheck share one sweep loop (_sweep), which builds one
-record per multidegree.  crosscheck audits each sorted nonzero content
-once (_content_audit): the tensor checks of every two-row shape and the
-sl2 ladder check, which builds its own delta images.  The rows stay one
-per multidegree, each with its own n, seconds and fresh check dicts.
+record per multidegree with products.verify_component or
+tensor.crosscheck_component.  The crosscheck route lives in tensor,
+which run_crosscheck imports when it runs, so verify never loads it.
 """
 
 from __future__ import annotations
@@ -21,13 +20,9 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 from ._version import __version__
-from .kernel import DeltaImages, LoweringImages, integer_delta, kernel_blocks
-from .poly import component_content
 from .products import ComponentReport, verify_component
-from .tableaux import standard_tableau_count, two_row_partitions
 
 SCHEMA_VERSION = 1
 
@@ -239,105 +234,15 @@ def run_verify_sweep(config: SweepConfig) -> SweepReport:
     return SweepReport(config=config, components=components, total_seconds=seconds)
 
 
-# ------------------------------------------------------------------ crosscheck
-
-
-def _chains_ok(c: tuple[int, ...]) -> bool:
-    """Whether every kernel vector of content c heads its sl2 string, d = len(c).
-
-    A constant w of y-weight q, with h = |c| - 2q, has the rungs w_0 = w
-    and w_k, the lowering (x_i -> y_i) of w_k-1.  delta must step rung k
-    back onto exactly k * (h - k + 1) * rung k-1 for k = 1..h, which
-    makes those rungs nonzero; h must be at least 0 and the lowering of
-    rung h zero.  All on integer vectors, with raising and lowering
-    images built here.
-    """
-    d, total = len(c), sum(c)
-    raising, lowering = DeltaImages(d, c), LoweringImages(d, c)
-    for q, source, vectors in kernel_blocks(d, c):
-        h = total - 2 * q
-        for v in vectors:
-            rung = {pos: x for pos, x in zip(source, v) if x}
-            for k in range(1, h + 1):
-                below, rung = rung, integer_delta(lowering, rung)
-                scaled = {pos: k * (h - k + 1) * x for pos, x in below.items()}
-                if integer_delta(raising, rung) != scaled:
-                    return False
-            if h < 0 or integer_delta(lowering, rung):
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _content_audit(c: tuple[int, ...]) -> tuple[tuple[dict, ...], bool]:
-    """(checks, chains_ok) of the sorted nonzero content c, d = len(c).
-
-    One check per two-row shape of |c|: the Delta kernel rank of its
-    weight block and its standard columns (tensor.standard_hwv_columns)
-    against the tableau count, and the columns' projection onto the
-    component c against its delta, on a DeltaImages of c that serves
-    only this check; the ladder check (_chains_ok) builds its own.  A
-    check's shape is a tuple, so that the cached entry holds nothing a
-    row can change.
-    """
-    from .tensor import position_strides, project, standard_hwv_columns
-
-    d, total = len(c), sum(c)
-    raising = DeltaImages(d, c)
-    strides = position_strides(d, c)
-    checks = []
-    for shape in two_row_partitions(total):
-        expected = standard_tableau_count(shape)
-        basis = standard_hwv_columns(total, shape)
-        constants = not any(basis.deltas)
-        equivariant = all(
-            project(image, strides) == integer_delta(raising, project(column, strides))
-            for column, image in zip(basis.columns, basis.deltas)
-        )
-        agree = basis.hwv_rank == expected and len(basis.columns) == expected
-        checks.append(
-            {
-                "shape": shape,
-                "hwv_rank": basis.hwv_rank,
-                "tableau_count": expected,
-                "basis_size": len(basis.columns),
-                "independent": basis.independent,
-                "delta_constant": constants,
-                "projection_equivariant": equivariant,
-                "ok": agree and constants and basis.independent and equivariant,
-            }
-        )
-    return tuple(checks), _chains_ok(c)
-
-
-def _crosscheck_component(d: int, n: tuple[int, ...]) -> dict:
-    """Audit one component: tableau counts vs ranks, equivariance, ladders.
-
-    Relabelling the indices commutes with delta, with the lowering map
-    and with the projection of the tensor columns, and zero exponents
-    add no letter, so every check is a property of the sorted nonzero
-    content, as the kernel numbers are (products._content_dimensions).
-    _content_audit is computed once per sorted content; the row stays
-    per multidegree, with fresh check dicts.
-    """
-    start = time.perf_counter()
-    checks, chains_ok = _content_audit(tuple(sorted(component_content(d, n))))
-    checks = [{**check, "shape": list(check["shape"])} for check in checks]
-    return {
-        "n": list(n),
-        "checks": checks,
-        "chains_ok": chains_ok,
-        "ok": chains_ok and all(check["ok"] for check in checks),
-        "seconds": time.perf_counter() - start,
-    }
-
-
 def run_crosscheck(config: SweepConfig) -> SweepReport:
     """Tensor-count and ladder audit over every multidegree with |n| <= the limit.
 
     One row per multidegree; its checks are read from the cache of its
-    sorted nonzero content (see _crosscheck_component).
+    sorted nonzero content (see tensor.crosscheck_component).  tensor is
+    imported here, so a verify run never loads it.
     """
+    from .tensor import crosscheck_component
+
     limit = config.tensor_crosscheck_limit
-    rows, seconds = _sweep(config, limit, _crosscheck_component)
+    rows, seconds = _sweep(config, limit, crosscheck_component)
     return SweepReport(config, [], seconds, kind="crosscheck", rows=rows)

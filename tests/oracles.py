@@ -330,7 +330,7 @@ def product_blocks_oracle(d: int, n: tuple[int, ...]) -> dict[int, tuple]:
 
 # ------------------------------------------------------------ sl2 ladders
 #
-# The Fraction reference for report._chains_ok, on Polynomials.
+# The Fraction reference for tensor._chains_ok, on Polynomials.
 
 
 def _replace(exponents: tuple[int, ...], i: int, value: int) -> tuple[int, ...]:

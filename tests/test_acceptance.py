@@ -26,7 +26,7 @@ from weitzlab.products import (
     span_dimension,
     verify_component,
 )
-from weitzlab.report import _chains_ok, enumerate_multidegrees, strip_timing
+from weitzlab.report import enumerate_multidegrees, strip_timing
 from weitzlab.tableaux import (
     dimension_identity_check,
     kostka,
@@ -34,7 +34,7 @@ from weitzlab.tableaux import (
     standard_tableaux,
     two_row_partitions,
 )
-from weitzlab.tensor import position_strides, project, standard_hwv_columns
+from weitzlab.tensor import _chains_ok, position_strides, project, standard_hwv_columns
 
 from oracles import build_chain, delta_star, random_polynomial, random_rational, rank_oracle
 

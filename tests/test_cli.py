@@ -282,6 +282,26 @@ def test_decompose_refuses_an_oversized_component_up_front(runner, monkeypatch):
     assert result.exit_code == 0 and called == [(999, 999)]
 
 
+def test_decompose_refuses_too_many_standard_products_up_front(runner, monkeypatch):
+    monkeypatch.setattr(cli, "decompose", never_called)
+    refused = [([], 17, 24310), ([], 19, 92378), (["--split"], 17, 24310)]
+    for flags, d, block in refused:
+        text = "*".join(f"x{i}" for i in range(1, d + 1))
+        if flags:
+            text = "x1 + " + text
+        result = runner.invoke(main, ["decompose", "--d", str(d), *flags], input=text + "\n")
+        assert result.exit_code == 2, result.output
+        assert (
+            f"component n={','.join(['1'] * d)} has a weight block of {block} positions, "
+            "above the limit of 12870"
+        ) in result.output
+    called = []
+    monkeypatch.setattr(cli, "decompose", lambda f: called.append(f.multidegree()) or {})
+    text = "*".join(f"x{i}" for i in range(1, 17))
+    result = runner.invoke(main, ["decompose", "--d", "16"], input=text + "\n")
+    assert result.exit_code == 0 and called == [(1,) * 16]
+
+
 def test_decompose_determinant(runner):
     result = runner.invoke(main, ["decompose", "--d", "2"], input="x1*y2 - x2*y1\n")
     assert result.exit_code == 0

@@ -309,12 +309,12 @@ def cold_engine():
 
 def test_corrupted_product_column_fails_verification(monkeypatch, cold_engine):
     # in the (1, 1) component of d=2 only u12 multiplies by a u
-    real = products._times_u
+    real = products.times_u
 
     def corrupt(column, si, sj):
         return {pos: c for pos, c in real(column, si, sj).items() if c > 0}  # x1*y2 alone
 
-    monkeypatch.setattr(products, "_times_u", corrupt)
+    monkeypatch.setattr(products, "times_u", corrupt)
     with pytest.raises(AssertionError, match=r"^product u12 is not a constant$"):
         verify_component(2, (1, 1))
     assert products._BLOCK_SPANS == {}
@@ -401,7 +401,7 @@ def test_weight_blocks_are_fixed_by_their_key():
     for c, q, source, target, rows in weight_blocks(((2, 12), (3, 8), (4, 7))):
         if c not in spans:
             spans[c] = {w: block[2] for w, block in product_blocks_oracle(len(c), c).items()}
-        assert kernel._block_rows(DeltaImages(len(c), c), source, target) == rows, (c, q)
+        assert kernel.block_rows(DeltaImages(len(c), c), source, target) == rows, (c, q)
         blocks = first.setdefault(block_key(c, q), (rows, spans[c].get(q)))
         assert blocks == (rows, spans[c].get(q)), (c, q)
         shared += blocks[0] is not rows
@@ -607,10 +607,7 @@ def test_blocks_of_a_content_are_those_of_its_sorted_content():
             clear_engine()
             nullities = [(q, len(v)) for q, _, v in kernel_blocks(len(content), content)]
             numbers.append((nullities, products._span_rank(len(content), content)))
-            by_weight = {}
-            for pos, q in enumerate(kernel.position_weights(content)):
-                by_weight.setdefault(q, []).append(pos)
-            blocks.append(by_weight)
+            blocks.append(dict(enumerate(kernel.positions_by_weight(content))))
             images.append(DeltaImages(len(content), content))
         assert numbers[0] == numbers[1], c
         move = relabelled(c, sorted(range(len(c)), key=c.__getitem__))
@@ -619,8 +616,8 @@ def test_blocks_of_a_content_are_those_of_its_sorted_content():
             source_key, target_key = blocks[1][q], blocks[1].get(q - 1, [])
             assert sorted(map(move, source)) == source_key, (c, q)
             assert sorted(map(move, target)) == target_key, (c, q)
-            rows = kernel._block_rows(images[0], source, target)
-            rows_key = kernel._block_rows(images[1], source_key, target_key)
+            rows = kernel.block_rows(images[0], source, target)
+            rows_key = kernel.block_rows(images[1], source_key, target_key)
             row_of = {pos: i for i, pos in enumerate(target_key)}
             column_of = {pos: j for j, pos in enumerate(source_key)}
             for t, row in zip(target, rows):
@@ -703,16 +700,16 @@ class OffByOneLowering(LoweringImages):
 
 
 def drop_rungs(monkeypatch):
-    real = report.integer_delta
+    real = tensor.integer_delta
 
     def dropping(images, vector):
         return {} if isinstance(images, LoweringImages) else real(images, vector)
 
-    monkeypatch.setattr(report, "integer_delta", dropping)
+    monkeypatch.setattr(tensor, "integer_delta", dropping)
 
 
 def never_end(monkeypatch):
-    real = report.integer_delta
+    real = tensor.integer_delta
 
     def endless(images, vector):
         image = real(images, vector)
@@ -720,11 +717,11 @@ def never_end(monkeypatch):
             return dict(vector)
         return image
 
-    monkeypatch.setattr(report, "integer_delta", endless)
+    monkeypatch.setattr(tensor, "integer_delta", endless)
 
 
 def clear_crosscheck():
-    report._content_audit.cache_clear()
+    tensor._content_audit.cache_clear()
     tensor.standard_hwv_columns.cache_clear()
 
 
@@ -744,8 +741,8 @@ def test_a_broken_ladder_fails_crosscheck(monkeypatch, cold_crosscheck, fault):
     elif fault == "no last rung":
         never_end(monkeypatch)
     else:
-        monkeypatch.setattr(report, "LoweringImages", OffByOneLowering)
-    row = report._crosscheck_component(2, (1, 1))
+        monkeypatch.setattr(tensor, "LoweringImages", OffByOneLowering)
+    row = tensor.crosscheck_component(2, (1, 1))
     assert not row["chains_ok"] and not row["ok"]
     assert all(check["ok"] for check in row["checks"])
     assert report.run_crosscheck(SweepConfig(d=2, tensor_crosscheck_limit=2)).violations >= 1
@@ -753,16 +750,16 @@ def test_a_broken_ladder_fails_crosscheck(monkeypatch, cold_crosscheck, fault):
     assert result.exit_code == 1
     monkeypatch.undo()
     clear_crosscheck()
-    assert report._crosscheck_component(2, (1, 1))["chains_ok"]
+    assert tensor.crosscheck_component(2, (1, 1))["chains_ok"]
 
 
 def plus_pairs(monkeypatch):
-    real = tensor._times_u
+    real = tensor.times_u
 
     def plus(column, si, sj):  # x (x) y + y (x) x, which Delta does not kill
         return {mask: abs(c) for mask, c in real(column, si, sj).items()}
 
-    monkeypatch.setattr(tensor, "_times_u", plus)
+    monkeypatch.setattr(tensor, "times_u", plus)
 
 
 def repeat_tableaux(monkeypatch):
@@ -797,7 +794,7 @@ def test_a_broken_tensor_side_fails_crosscheck(monkeypatch, cold_crosscheck, fau
     # u12*x3 both project onto u12*x2
     corrupt, field = TENSOR_FAULTS[fault]
     corrupt(monkeypatch)
-    row = report._crosscheck_component(2, (2, 1))
+    row = tensor.crosscheck_component(2, (2, 1))
     assert row["chains_ok"] and not row["ok"]
     (check,) = [check for check in row["checks"] if check["shape"] == [2, 1]]
     assert check[field] is False and not check["ok"]
@@ -806,14 +803,14 @@ def test_a_broken_tensor_side_fails_crosscheck(monkeypatch, cold_crosscheck, fau
     assert result.exit_code == 1
     monkeypatch.undo()
     clear_crosscheck()
-    assert report._crosscheck_component(2, (2, 1))["ok"]
+    assert tensor.crosscheck_component(2, (2, 1))["ok"]
 
 
 def test_crosscheck_rows_share_nothing_mutable(cold_crosscheck):
     # (1, 2) and (2, 1) read one cached audit of the content (1, 2)
-    first = report._crosscheck_component(2, (1, 2))
+    first = tensor.crosscheck_component(2, (1, 2))
     expected = copy.deepcopy(first["checks"])
     first["checks"][1]["shape"].append(0)
     first["checks"][1]["ok"] = False
     first["checks"].pop(0)
-    assert report._crosscheck_component(2, (2, 1))["checks"] == expected
+    assert tensor.crosscheck_component(2, (2, 1))["checks"] == expected

@@ -8,7 +8,7 @@ import pytest
 
 from weitzlab import products
 from weitzlab.derivation import delta, is_constant
-from weitzlab.kernel import kernel_basis
+from weitzlab.kernel import kernel_basis, weight_block_sizes
 from weitzlab.poly import (
     Polynomial,
     component_basis,
@@ -244,10 +244,20 @@ def test_product_term_is_the_tuple_p_q():
     assert t == ProductTerm((1, 0, 0), (0, 0, 2))
 
 
+def test_standard_products_number_the_largest_weight_block():
+    # the kernel nullities sum to |W_{|c|//2}|, since the block sizes are
+    # symmetric and unimodal; cli refuses decompose by that count
+    contents = {tuple(sorted(k for k in n if k)) for n in enumerate_multidegrees(8, 8)}
+    contents.discard(())
+    assert len(contents) == 66
+    for c in sorted(contents):
+        assert len(products._component_solver(len(c), c)) == max(weight_block_sizes(c)), c
+
+
 def test_decompose_untouched_coefficient_is_a_violation(monkeypatch):
     # with u12 expanding to nothing, no product touches x1*y2 or x2*y1
     # in the (1, 1) component of d=2 only u12 multiplies by a u
-    monkeypatch.setattr(products, "_times_u", lambda column, si, sj: {})
+    monkeypatch.setattr(products, "times_u", lambda column, si, sj: {})
     products._component_solver.cache_clear()
     try:
         with pytest.raises(ConjectureViolation):
@@ -258,7 +268,7 @@ def test_decompose_untouched_coefficient_is_a_violation(monkeypatch):
 
 def test_decompose_shared_lead_is_an_assertion(monkeypatch):
     # with u12 expanding to x1*x2, both products of (1, 1) lead at x1*x2
-    monkeypatch.setattr(products, "_times_u", lambda column, si, sj: dict(column))
+    monkeypatch.setattr(products, "times_u", lambda column, si, sj: dict(column))
     products._component_solver.cache_clear()
     try:
         with pytest.raises(AssertionError, match=r"^products x1\*x2 and u12 share a lead$"):
@@ -269,12 +279,12 @@ def test_decompose_shared_lead_is_an_assertion(monkeypatch):
 
 def test_decompose_checks_standard_products_are_constants(monkeypatch):
     # keeping only the positive term of column * u12 leaves x1*y2 alone
-    real = products._times_u
+    real = products.times_u
 
     def corrupt(column, si, sj):
         return {pos: c for pos, c in real(column, si, sj).items() if c > 0}
 
-    monkeypatch.setattr(products, "_times_u", corrupt)
+    monkeypatch.setattr(products, "times_u", corrupt)
     products._component_solver.cache_clear()
     try:
         with pytest.raises(AssertionError, match=r"^product u12 is not a constant$"):
