@@ -49,9 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import sub
 
 from .linalg import integer_nullspace
-from .poly import Polynomial, component_basis, component_strides
+from .poly import Monomial, Polynomial, component_strides
 
 __all__ = [
     "positions_by_weight",
@@ -247,15 +248,24 @@ class KernelBasis:
 
 @lru_cache(maxsize=None)
 def kernel_basis(d: int, n: tuple[int, ...]) -> KernelBasis:
-    """kernel_blocks, rebuilt as polynomials."""
-    basis = component_basis(d, n)
+    """kernel_blocks, rebuilt as polynomials.
+
+    Only the monomials at the vectors' nonzero positions are built: a
+    position's b_i is read from the radix, as DeltaImages reads it, and
+    its a_i is n_i - b_i.
+    """
+    blocks = kernel_blocks(d, n)  # checks (d, n)
+    radix = tuple(zip(component_strides(d, n), (k + 1 for k in n)))
     total = sum(n)
     vectors: list[Polynomial] = []
     dims: list[tuple[tuple[int, int], int]] = []
-    for q, source, block in kernel_blocks(d, n):
+    for q, source, block in blocks:
         dims.append(((total - q, q), len(block)))
         for v in block:
-            vectors.append(
-                Polynomial(d, {basis[pos]: c for pos, c in zip(source, v) if c})
-            )
+            terms = {}
+            for pos, c in zip(source, v):
+                if c:
+                    b = [pos // s % r for s, r in radix]
+                    terms[Monomial(map(sub, n, b), b)] = c
+            vectors.append(Polynomial(d, terms))
     return KernelBasis(d, n, tuple(vectors), tuple(dims))

@@ -549,7 +549,14 @@ def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
     reads, so the routes share no state; a block whose key is in a
     route's table costs a lookup and builds no image.  product_count
     counts every product, standard or not, with no column built.
+
+    A negative entry raises ValueError here, on a cache miss, which is
+    where verify_component's entries are checked: lru_cache stores no
+    call that raises, so an invalid content never enters the table and
+    every call with it is checked again.
     """
+    if any(k < 0 for k in c):
+        raise ValueError("multidegree entries must be nonnegative")
     key = tuple(sorted(c))
     if key != c:
         dim_kernel, dim_span, _, product_count = _content_dimensions(key)
@@ -571,8 +578,11 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     dim_span is at most dim_kernel whichever products the walk picks, so
     equality proves that the products span the kernel (see _span_rank).
     The numbers are computed once per content c, the nonzero entries of
-    n in dimension len(c) (poly.component_content), so a component that
-    shares its content with an earlier one costs a lookup.  The kernel
+    n in dimension len(c) (as poly.component_content gives them), so a
+    component that shares its content with an earlier one costs one
+    length check and one table read: _content_dimensions checks the
+    entries' signs on a miss, and a content with a negative entry is
+    never stored, so it always misses.  The kernel
     and span numbers of c are those of sorted(c), which is the one
     eliminated, expanded and checked, so a failing side check names
     products by the sorted content's indices; the oracle runs on c
@@ -583,8 +593,10 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     """
     start = time.perf_counter()
     n = tuple(n)
+    if len(n) != d:
+        raise ValueError("multidegree length must equal d")
     dim_kernel, dim_span, oracle, product_count = _content_dimensions(
-        component_content(d, n)
+        tuple(filter(None, n))
     )
     verdict = dim_kernel == dim_span == oracle
     return ComponentReport(

@@ -1,8 +1,12 @@
 """Sweep configuration, runners, and reproducible report serialization.
 
-Reports are plain dicts with a fixed key order so that two runs with the
-same configuration produce byte-identical JSON once the timing fields are
-stripped; the content digest is the sha256 of exactly that stripped form.
+Reports serialize with a fixed key order so that two runs with the same
+configuration produce byte-identical JSON once the timing fields are
+stripped; the content digest is the sha256 of the sorted-key dump of
+that stripped form.  Verify records are frozen ComponentReports, and
+their JSON, digest text and CSV rows are written from the fields, with
+no dict per record; to_dict() still builds the dicts, and the tests
+check every byte against json and csv writing those dicts.
 Components are enumerated in graded lexicographic order (total degree
 first, then tuple order), which keeps reports comparable across machines.
 
@@ -20,6 +24,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from ._version import __version__
 from .products import ComponentReport, verify_component
@@ -108,13 +113,20 @@ class SweepReport:
         return sum(1 for r in self.components if not r.verdict)
 
     def _digested(self) -> dict:
-        """The report with an empty components list, digesting its untimed records."""
+        """The report with an empty components list, digesting its untimed records.
+
+        The digest hashes json.dumps(strip_timing(self.to_dict()),
+        sort_keys=True).  Verify records are written by _record_digest_json,
+        with no dict built; crosscheck rows, which nest, go through
+        json.dumps.  The record list is spliced into the dump of the rest
+        of the body at its "components" key: json escapes every quote
+        inside a string, and only the top-level "components" key can be
+        followed by the empty list, so the first match is that key.
+        """
         if self.rows:
-            untimed = [strip_timing(r) for r in self.rows]
+            records = json.dumps([strip_timing(r) for r in self.rows], sort_keys=True)
         else:
-            untimed = [c.to_dict() for c in self.components]
-            for record in untimed:
-                del record["seconds"]
+            records = "[" + ", ".join(map(_record_digest_json, self.components)) + "]"
         body = {
             "schema_version": SCHEMA_VERSION,
             "tool": "weitzlab",
@@ -128,11 +140,9 @@ class SweepReport:
                 "total_seconds": self.total_seconds,
             },
         }
-        stripped = strip_timing(body)
-        stripped["components"] = untimed
-        body["content_digest"] = hashlib.sha256(
-            json.dumps(stripped, sort_keys=True).encode()
-        ).hexdigest()
+        text = json.dumps(strip_timing(body), sort_keys=True)
+        text = text.replace('"components": []', '"components": ' + records, 1)
+        body["content_digest"] = hashlib.sha256(text.encode()).hexdigest()
         return body
 
     def to_dict(self) -> dict:
@@ -144,9 +154,9 @@ class SweepReport:
         """json.dumps(self.to_dict(), indent=2) plus a newline, byte for byte.
 
         indent selects json's pure-Python encoder, so verify records are
-        written by _record_json instead, and the record dicts are built
-        only for the digest; the rest of the body, and crosscheck rows,
-        which nest, still go through json.dumps.
+        written by _record_json instead, and no record dict is built;
+        the rest of the body, and crosscheck rows, which nest, still go
+        through json.dumps.
         """
         if self.rows:
             return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -161,21 +171,28 @@ class SweepReport:
         return "{\n" + ",\n".join(fields) + "\n}\n"
 
     def to_csv(self) -> str:
+        """One row per record, n written as "a,b,...".
+
+        Verify rows are written straight from the ComponentReports;
+        crosscheck rows from their dicts, checks as sorted-key JSON.
+        """
         import csv
 
         buf = io.StringIO()
-        rows = self.rows or [c.to_dict() for c in self.components]
         if self.kind == "verify":
-            names = [f.name for f in fields(ComponentReport)]
-        else:
-            names = ["n", "checks", "chains_ok", "ok", "seconds"]
-        writer = csv.DictWriter(buf, fieldnames=names)
+            names = [f.name for f in fields(ComponentReport)]  # n first
+            cells = attrgetter(*names[1:])
+            writer = csv.writer(buf)
+            writer.writerow(names)
+            for c in self.components:
+                writer.writerow((",".join(map(str, c.n)), *cells(c)))
+            return buf.getvalue()
+        writer = csv.DictWriter(buf, fieldnames=["n", "checks", "chains_ok", "ok", "seconds"])
         writer.writeheader()
-        for row in rows:
+        for row in self.rows:
             flat = dict(row)
             flat["n"] = ",".join(str(k) for k in row["n"])
-            if "checks" in flat:
-                flat["checks"] = json.dumps(flat["checks"], sort_keys=True)
+            flat["checks"] = json.dumps(flat["checks"], sort_keys=True)
             writer.writerow(flat)
         return buf.getvalue()
 
@@ -196,6 +213,17 @@ def _record_json(c: ComponentReport) -> str:
         f'      "product_count": {c.product_count},\n'
         f'      "verdict": {"true" if c.verdict else "false"},\n'
         f'      "seconds": {_float_json(c.seconds)}\n    }}'
+    )
+
+
+def _record_digest_json(c: ComponentReport) -> str:
+    """json.dumps(c.to_dict() without "seconds", sort_keys=True)."""
+    n = ", ".join(map(str, c.n))
+    return (
+        f'{{"dim_kernel": {c.dim_kernel}, "dim_span": {c.dim_span}, '
+        f'"dim_tableau_oracle": {c.dim_tableau_oracle}, "n": [{n}], '
+        f'"product_count": {c.product_count}, '
+        f'"verdict": {"true" if c.verdict else "false"}}}'
     )
 
 

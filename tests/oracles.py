@@ -12,20 +12,27 @@ products_oracle and expand_oracle.  The sl2 ladders are the Fraction
 reference for the package's integer ladder check: they lower with
 delta_star here and raise with the package's Polynomial delta.  The
 tensor words at the end take their tableaux, in order, from
-weitzlab.tableaux.standard_tableaux.
+weitzlab.tableaux.standard_tableaux.  The report references at the
+end write a report's digest and CSV from its to_dict() records, as the
+package wrote them before it wrote them from the records' fields.
 """
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
+import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, product
 
 from weitzlab.derivation import delta, is_constant
 from weitzlab.poly import Monomial, PolyParseError, Polynomial, component_basis
-from weitzlab.products import enumerate_products, expand
+from weitzlab.products import ComponentReport, enumerate_products, expand
+from weitzlab.report import strip_timing
 from weitzlab.tableaux import standard_tableaux
 
 
@@ -558,6 +565,25 @@ def _parse_term_oracle(chunk: str, d: int) -> tuple[Fraction, Monomial]:
             raise PolyParseError(f"index out of range 1..{d} in {part!r}")
         (a if kind == "x" else b)[idx - 1] += e
     return coef, Monomial(a, b)
+
+
+# ------------------------------------------------------------ reports
+
+
+def digest_oracle(report) -> str:
+    """The content digest written from the record dicts: sha256 of the sorted-key dump."""
+    text = json.dumps(strip_timing(report.to_dict()), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def csv_oracle(report) -> str:
+    """A verify report's CSV through csv.DictWriter over its to_dict() records."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(ComponentReport)])
+    writer.writeheader()
+    for record in report.to_dict()["components"]:
+        writer.writerow({**record, "n": ",".join(map(str, record["n"]))})
+    return buf.getvalue()
 
 
 # ------------------------------------------------------------ random inputs

@@ -29,7 +29,9 @@ is the command line, with its standard input as a here-string after
 `<<<`, followed by its output.  The certificate digest pins which
 certificate is returned, not only that it re-expands.  Verify reports
 are written without json's indenting encoder, so their bytes are
-checked against json.dumps(indent=2) on the invariant tiers.
+checked against json.dumps(indent=2) on the invariant tiers; their
+digest and CSV are written from the records' fields, and checked against
+the sorted-key dump and csv.DictWriter of the record dicts.
 """
 
 import hashlib
@@ -53,6 +55,8 @@ from weitzlab.report import (
     run_crosscheck,
     run_verify_sweep,
 )
+
+from oracles import csv_oracle, digest_oracle
 
 INVARIANTS = [
     (2, 8, 45, "bc06c2ac48193ebd049b1209e0678915b35a4f4002ccea386a7980092e6f43fa"),
@@ -130,6 +134,33 @@ def test_to_json_writes_the_bytes_of_json_dumps():
     reports.append(run_crosscheck(SweepConfig(d=2, tensor_crosscheck_limit=3)))
     for report in reports:
         assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+def test_content_digest_is_the_digest_of_the_record_dicts():
+    """_digested writes verify records itself; the sorted-key dump of to_dict() is the reference."""
+    configs = [SweepConfig(d=d, max_total_degree=m) for d, m, _, _ in INVARIANTS[:3]]
+    configs += [
+        SweepConfig(d=1, max_total_degree=0),
+        SweepConfig(d=4, max_total_degree=4, per_index_cap=1),
+    ]
+    reports = [run_verify_sweep(config) for config in configs]
+    small = reports[0]
+    failed = list(small.components)
+    failed[7] = replace(failed[7], verdict=False)
+    reports.append(replace(small, components=failed))
+    for report in reports:
+        assert report.to_dict()["content_digest"] == digest_oracle(report)
+    assert len({report.to_dict()["content_digest"] for report in reports}) == len(reports)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SweepConfig(d=3, max_total_degree=6), SweepConfig(d=4, max_total_degree=4, per_index_cap=1)],
+    ids=["d3-m6", "d4-m4-cap1"],
+)
+def test_to_csv_writes_the_bytes_of_dict_writer(config):
+    report = run_verify_sweep(config)
+    assert report.to_csv() == csv_oracle(report)
 
 
 @pytest.mark.parametrize("args,expected", golden_kernel_runs())

@@ -385,8 +385,16 @@ def test_verify_component_d3_111_resolved_dimension():
         (3, (0, -1, 2), "multidegree entries must be nonnegative"),
     ],
 )
-def test_verify_component_rejects_malformed_multidegree(d, n, message):
+def test_verify_component_rejects_malformed_multidegree(d, n, message, monkeypatch):
     # the content's numbers are cached by now; the check must not ride on them
     verify_component(2, (1, 2))
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        verify_component(d, n)
+    table = products._content_dimensions
+    size = table.cache_info().currsize
+    # an invalid content is refused before any route runs, and never stored
+    routes = []
+    monkeypatch.setattr(products, "kernel_blocks", lambda *args: routes.append(args))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_component(d, n)
+        assert table.cache_info().currsize == size
+    assert routes == []
