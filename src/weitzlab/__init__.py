@@ -2,8 +2,8 @@
 delta(x_i) = 0, delta(y_i) = x_i on K[x_1..x_d, y_1..y_d] are generated by
 the x variables and the determinants u_ij = x_i*y_j - x_j*y_i.
 
-Every dimension is measured along three independent routes (kernel
-elimination, product-span rank, tableau counting) and the package only
+Every dimension is measured along three independent routes (peeled
+kernel blocks, product-span rank, tableau counting) and the package only
 reports success when all three agree, component by component.
 """
 

@@ -33,8 +33,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 MAX_COMPONENT_DIMENSION = 10**6
-# Weight blocks are eliminated as dense matrices, each step of (1^n) 5-7 times
-# slower than the last: (1^14)'s middle block, 3432 positions, takes a minute.
+# A weight block of (1^n) above q = 1 eliminates delta'^2 on W_q(1^(n-1)) as a
+# dense matrix, each step of n about 5 times slower than the last: kernel on
+# (1^14), whose middle block has 3432 positions, takes half a minute.
 MAX_BLOCK_SIZE = comb(14, 7)
 # decompose builds one standard product per position of the largest block:
 # (1^15)'s 6435 take 0.7 s, (1^16)'s 12870 2.2 s and 200 MB.

@@ -3,8 +3,8 @@
 delta preserves every multidegree component, so its kernel is computed
 component by component.  Within a component delta only connects adjacent
 bi-weight blocks, (p, q) -> (p + 1, q - 1); the kernel therefore splits as
-the direct sum of per-block kernels and each block gives a much smaller
-elimination than the whole component.
+the direct sum of per-block kernels, each one much smaller than the
+whole component.
 
 Everything here runs on integers indexed by component position (see
 poly.component_strides): delta sends x^a y^b to sum_i b_i x^(a+e_i)
@@ -20,10 +20,33 @@ A weight-q block sees each exponent only through min(n_i, q): its
 positions are the b with sum(b) = q and b_i <= min(n_i, q), in lex
 order, its target block is the same with q - 1, and delta's entries are
 the b_i.  block_key(n, q) is therefore an exact key for the integer
-matrix, zero exponents dropped as in poly.component_content, and
-kernel_blocks eliminates each distinct key once per process.  Its delta
-images come from a DeltaImages, which builds the image of a position on
-first use, so a block whose key is known builds none.
+matrix, zero exponents dropped as in poly.component_content, and each
+distinct key's kernel is built once per process (_BLOCK_KERNELS).
+
+A block is built by peeling the last index off the content c (the
+largest part, on the sorted contents that verify computes).  Write
+m = c[-1], c' = c[:-1] and delta' for delta on c'.  A position of c is
+p * (m + 1) + j, with p a position of c' and j = b_d, so a vector of
+W_q(c) splits into pieces x_j in W_(q-j)(c'), and delta is delta' on
+each piece plus the last index's term, which sends piece j to piece
+j - 1 times j.  So delta v = 0 says that delta' x_j + (j + 1) x_(j+1) = 0
+for each j < m and that delta' x_m = 0: every piece is
+x_j = (-1)^j delta'^j x_0 / j!, an integer vector for j <= min(m, q)
+(delta'^j / j! has integer entries), and
+
+    ker delta|W_q(c)  =  ker delta'^(m+1): W_q(c') -> W_(q-m-1)(c').
+
+When q <= m the target is empty and every x_0 in W_q(c') gives a kernel
+vector; only a block with q > m eliminates, and then the smaller matrix
+of delta'^(m+1) on c' (_power_kernel).  This is the Leibniz rule on one
+tensor factor: it takes no sl2 theory and no tableau, so the kernel
+route stays independent of the Kostka oracle.  The peeled vectors
+depend only on the key (the key keeps the order of the parts, and the
+peel reads m only through min(m, q)).  Each one is primitive, since its
+piece x_0 is, gets its first nonzero entry positive, and is checked
+constant on the delta images of c before its block is stored.  The images of c and the state
+of c' (its positions and delta images) are built on the first block
+whose key is new, and a block whose key is known builds none.
 
 Above the middle weight (2q > |n|) a block is read off its partner
 q' = |n| - q + 1 below it.  In the divided-power basis
@@ -32,16 +55,23 @@ x-weight q' - 1 to q', so the weight-q block's matrix is the transpose,
 entry for entry under b -> n - b, of the monomial matrix of block q'.  The
 change of basis only scales rows and columns by positive numbers, and
 neither that nor transposing changes the rank, so the upper nullity is
-|W_q| - rank(q') = |W_q| - |W_q'| + nullity(q').  It is 0 (a constant's
-x-weight is at least its y-weight), and such a block is neither
-eliminated nor stored.  The Kostka oracle still checks the upper
-nullities, through the lower ranks.  The self-transposed middle block
-of odd |n| (q' = q) is eliminated like a lower one.
+|W_q| - rank(q') = |W_q| - |W_q'| + nullity(q'), from
+weight_block_sizes.  It is 0 (a constant's x-weight is at least its
+y-weight), and such a block is neither built nor stored.  The Kostka
+oracle still checks the upper nullities, through the lower ranks.  The
+self-transposed middle block of odd |n| (q' = q) is built like a lower
+one, and so would be an upper block that derived a nonzero nullity, its
+built nullity then compared with the derived one.
 
-verify calls kernel_blocks on sorted contents only
-(products._content_dimensions), so a cold d=2 |n|<=18 sweep eliminates
-57 distinct blocks among the 1,285 of its 100 sorted contents, and a
-cold d=4 |n|<=8 sweep 59 among 368.
+verify reads the nullities alone (kernel_dimension, on sorted contents
+only, from products._content_dimensions) and builds no position of the
+component itself.  A cold d=2 |n|<=18 sweep builds 57 distinct blocks
+among the 1,285 of its 100 sorted contents and eliminates none (every
+one has q <= m), and a cold d=4 |n|<=8 sweep builds 59 among 368 and
+eliminates 16 powers, none wider than 7 columns.  kernel_blocks and
+kernel_basis read the same table and turn each entry into
+integer_nullspace's basis of the block's kernel (_free_column_basis), so
+their output does not depend on how the block was built.
 """
 
 from __future__ import annotations
@@ -49,10 +79,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from math import gcd
 from operator import sub
+from typing import Iterator
 
 from .linalg import integer_nullspace
-from .poly import Monomial, Polynomial, component_strides
+from .poly import Monomial, Polynomial, component_content, component_strides
 
 __all__ = [
     "positions_by_weight",
@@ -63,6 +95,7 @@ __all__ = [
     "times_u",
     "block_key",
     "block_rows",
+    "kernel_dimension",
     "kernel_blocks",
     "KernelBasis",
     "kernel_basis",
@@ -168,9 +201,182 @@ def block_rows(
     return rows
 
 
-# Checked kernel vectors of every y-weight block eliminated so far, keyed
-# on block_key; see kernel_blocks.
+# Checked kernel vectors of every y-weight block built so far, keyed on
+# block_key; see _weight_kernels.
 _BLOCK_KERNELS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+
+
+class _Peel:
+    """What building a weight block of content c from c' = c[:-1] reads.
+
+    m is the peeled part c[-1] (0 for the empty content, whose one block
+    W_0 = {0} then peels like any block with q <= m); rest_images and
+    rest_blocks are the delta images and the positions by weight of c',
+    and images the delta images of c, which check the rebuilt vectors.
+    """
+
+    __slots__ = ("m", "rest_images", "rest_blocks", "images")
+
+    def __init__(self, c: tuple[int, ...]):
+        rest = c[:-1]
+        self.m = c[-1] if c else 0
+        self.rest_images = DeltaImages(len(rest), rest)
+        self.rest_blocks = positions_by_weight(rest)
+        self.images = DeltaImages(len(c), c)
+
+    def rest_block(self, w: int) -> list[int]:
+        """W_w(c'), empty above |c'|."""
+        return self.rest_blocks[w] if w < len(self.rest_blocks) else []
+
+
+def _power_kernel(peel: _Peel, q: int, power: int) -> list[dict[int, int]]:
+    """integer_nullspace of delta'^power from W_q(c') to W_(q - power)(c')."""
+    source = peel.rest_block(q)
+    local = {pos: i for i, pos in enumerate(peel.rest_block(q - power))}
+    rows = [[0] * len(source) for _ in local]
+    for k, pos in enumerate(source):
+        image = {pos: 1}
+        for _ in range(power):
+            image = integer_delta(peel.rest_images, image)
+        for target, e in image.items():
+            rows[local[target]][k] = e
+    return [
+        {pos: e for pos, e in zip(source, v) if e}
+        for v in integer_nullspace(rows, len(source))
+    ]
+
+
+def _peeled_vectors(peel: _Peel, q: int) -> list[dict[int, int]]:
+    """A basis of the kernel of delta on W_q(c), rebuilt from W_q(c'); unchecked.
+
+    Each x_0 (every unit vector of W_q(c') when q <= m, else
+    _power_kernel's vectors for the power m + 1) gives the vector with
+    the pieces x_j = (-1)^j delta'^j x_0 / j!, j = 0..min(m, q), at the
+    positions p * (m + 1) + j.  Each division by j is exact, since
+    delta'^j / j! sends y^b to sum_k prod_i C(b_i, k_i) x^k y^(b-k) over
+    |k| = j.  The vector is primitive, because its piece x_0 is, and its
+    sign is set so that its first nonzero entry is positive.
+    """
+    m = peel.m
+    if q <= m:
+        starts = [{pos: 1} for pos in peel.rest_block(q)]
+    else:
+        starts = _power_kernel(peel, q, m + 1)
+    vectors = []
+    for x in starts:
+        v = {pos * (m + 1): e for pos, e in x.items()}
+        for j in range(1, min(m, q) + 1):
+            x = {pos: -e // j for pos, e in integer_delta(peel.rest_images, x).items()}
+            for pos, e in x.items():
+                v[pos * (m + 1) + j] = e
+        if v[min(v)] < 0:
+            v = {pos: -e for pos, e in v.items()}
+        vectors.append(v)
+    return vectors
+
+
+def _checked_block(peel: _Peel, q: int) -> tuple[tuple[int, ...], ...]:
+    """_peeled_vectors of block q, each checked constant, dense over W_q(c)."""
+    vectors = _peeled_vectors(peel, q)
+    for v in vectors:
+        if integer_delta(peel.images, v):
+            raise AssertionError("kernel vector failed the constancy check")
+    if not vectors:
+        return ()
+    m = peel.m
+    source = sorted(
+        pos * (m + 1) + j for j in range(min(m, q) + 1) for pos in peel.rest_block(q - j)
+    )
+    return tuple(tuple([v.get(pos, 0) for pos in source]) for v in vectors)
+
+
+def _weight_kernels(
+    c: tuple[int, ...]
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(q, table entry) of every y-weight block of content c not derived to be 0.
+
+    A block above the middle whose partner q' = |c| - q + 1 lies below
+    it takes its nullity |W_q| - |W_q'| + nullity(q') by transposition
+    (see the module docstring), from weight_block_sizes(c); when that is
+    0, as it always is, the block is skipped.  Every other block, the
+    self-transposed middle one of odd |c| included, is read from
+    _BLOCK_KERNELS or built by the peel (_checked_block) and stored on
+    block_key(c, q) once its checks pass; an upper block's built nullity
+    must equal its derived one.  The state of c' is built on the first
+    block whose key is new, so a content whose keys are all known builds
+    no position and no delta image.
+    """
+    sizes = weight_block_sizes(c)
+    total = len(sizes) - 1
+    nullities: list[int] = []
+    peel = None
+    for q, size in enumerate(sizes):
+        partner = total - q + 1
+        derived = None
+        if partner < q:
+            derived = size - sizes[partner] + nullities[partner]
+            if not derived:
+                nullities.append(0)
+                continue
+        key = block_key(c, q)
+        vectors = _BLOCK_KERNELS.get(key)
+        if vectors is None:
+            if peel is None:
+                peel = _Peel(c)
+            vectors = _checked_block(peel, q)
+            if derived is not None and len(vectors) != derived:
+                raise AssertionError("upper block nullity disagrees with its transpose")
+            _BLOCK_KERNELS[key] = vectors
+        nullities.append(len(vectors))
+        yield q, vectors
+
+
+def kernel_dimension(d: int, n: tuple[int, ...]) -> int:
+    """dim ker delta on component n: the sum of its block nullities.
+
+    Reads the table entries' sizes only (_weight_kernels), so a block
+    whose key is known costs one lookup, and no position of component n
+    is ever built.
+    """
+    return sum(len(vectors) for _, vectors in _weight_kernels(component_content(d, n)))
+
+
+def _free_column_basis(
+    vectors: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """integer_nullspace's basis of the span of vectors.
+
+    That basis has one vector per free column: its last nonzero entry
+    sits there, it is 0 at the other free columns, and it is primitive
+    with its first nonzero entry positive, which fixes it given the
+    span.  The vectors are reduced from the last position backwards,
+    each pivot cleared from every other vector, and listed by pivot.
+    """
+    rows = [list(v) for v in vectors]
+    r = 0
+    for col in range(len(rows[0]) - 1, -1, -1):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                g = gcd(pivot[col], row[col])
+                a, b = pivot[col] // g, row[col] // g
+                reduced = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*reduced)
+                rows[i] = [x // g for x in reduced] if g > 1 else reduced
+        r += 1
+    basis = []
+    for row in reversed(rows):
+        g = gcd(*row)
+        if next(e for e in row if e) < 0:
+            g = -g
+        basis.append(tuple(e // g for e in row))
+    return tuple(basis)
 
 
 def kernel_blocks(
@@ -181,49 +387,15 @@ def kernel_blocks(
     Returns (q, positions, vectors) for every y-weight q whose block has
     a nonzero kernel, q ascending.  positions are the block's basis
     positions in component order; vectors is a tuple of integer tuples
-    over them, coprime with the first nonzero positive, in nullspace
-    order.  Every vector is checked to be a constant, on a DeltaImages
-    of n built here, which holds images only for the blocks eliminated.
-
-    A block above the middle whose partner q' = |n| - q + 1 lies below
-    it takes its nullity |W_q| - |W_q'| + nullity(q') by transposition
-    (see the module docstring); when that is 0, as it always is, the
-    block is skipped.  Every other block, the self-transposed middle one
-    of odd |n| included, is eliminated on its monomial matrix and stored
-    on block_key(n, q), and an upper block's eliminated nullity must
-    equal its derived one.  A block's entry is stored only once its
-    checks pass; a later block with the same key is not eliminated
-    again, and builds no delta image.
+    over them, integer_nullspace's basis of the block's kernel (coprime
+    with the first nonzero positive, in free-column order), reduced here
+    from the table entries (_free_column_basis).  The blocks are those of
+    n's content, peeled at its last index; the table and its checks are
+    kernel_dimension's.
     """
-    images = DeltaImages(d, n)
-    total = sum(n)
+    kernels = [(q, v) for q, v in _weight_kernels(component_content(d, n)) if v]
     blocks = positions_by_weight(n)
-    nullities: list[int] = []
-    out = []
-    for q, source in enumerate(blocks):
-        partner = total - q + 1
-        derived = None
-        if partner < q:
-            derived = len(source) - len(blocks[partner]) + nullities[partner]
-            if not derived:
-                nullities.append(0)
-                continue
-        key = block_key(n, q)
-        vectors = _BLOCK_KERNELS.get(key)
-        if vectors is None:
-            target = blocks[q - 1] if q else []
-            rows = block_rows(images, source, target)
-            vectors = tuple(map(tuple, integer_nullspace(rows, len(source))))
-            for v in vectors:
-                if integer_delta(images, dict(zip(source, v))):
-                    raise AssertionError("kernel vector failed the constancy check")
-            if derived is not None and len(vectors) != derived:
-                raise AssertionError("upper block nullity disagrees with its transpose")
-            _BLOCK_KERNELS[key] = vectors
-        nullities.append(len(vectors))
-        if vectors:
-            out.append((q, source, vectors))
-    return out
+    return [(q, blocks[q], _free_column_basis(v)) for q, v in kernels]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ indices by a permutation sigma, on the x and the y alike, commutes with
 delta and maps every weight block of content c onto that of c o sigma,
 entry for entry, with u_ij going to +-u_sigma(i)sigma(j); so the kernel
 nullity, span rank and product count of c are those of sorted(c), and
-only sorted contents are eliminated, expanded and checked
+only sorted contents are peeled, expanded and checked
 (_content_dimensions).  One level down, each y-weight block is kept on
 kernel.block_key: the products of y-weight q are the pair exponents of
 total q whose index degrees are at most min(c_i, q), so blocks with the
@@ -46,7 +46,7 @@ same rank, which the block's standard products have too.  Each distinct
 block's standard products are expanded, checked constant and their
 leads counted once per process (_span_rank), and a content whose blocks
 are all known costs one lookup per weight, as on the kernel side
-(kernel.kernel_blocks).  A cold d=4 |n|<=8 sweep counts 38 distinct
+(kernel.kernel_dimension).  A cold d=4 |n|<=8 sweep counts 38 distinct
 product blocks among the 164 of its 53 sorted contents, and a cold d=2
 |n|<=18 sweep 12 among 385.
 """
@@ -66,7 +66,7 @@ from typing import Iterator, NamedTuple
 
 from .derivation import delta
 from .derivation import is_constant  # noqa: F401  (perfbench/tracer.py rebinds it here)
-from .kernel import DeltaImages, block_key, integer_delta, kernel_blocks, times_u
+from .kernel import DeltaImages, block_key, integer_delta, kernel_dimension, times_u
 from .poly import (
     Polynomial,
     component_basis,
@@ -541,7 +541,7 @@ def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
     of c o sigma: positions go to positions, the entries b_i go along and
     u_ij goes to +-u_sigma(i)sigma(j).  So the kernel and span numbers
     of c are those of sorted(c), read from this same cache; only a
-    sorted content is eliminated, expanded and checked, in its own
+    sorted content is peeled, expanded and checked, in its own
     coordinates.  The Kostka oracle runs on c itself, so that it sees
     the component's own content and shares nothing with that argument.
 
@@ -562,7 +562,7 @@ def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
         dim_kernel, dim_span, _, product_count = _content_dimensions(key)
     else:
         d = len(c)
-        dim_kernel = sum(len(v) for _, _, v in kernel_blocks(d, c))
+        dim_kernel = kernel_dimension(d, c)
         dim_span, product_count = _span_rank(d, c)
     return dim_kernel, dim_span, sum(kostka_numbers(c)), product_count
 
@@ -570,9 +570,10 @@ def _content_dimensions(c: tuple[int, ...]) -> tuple[int, int, int, int]:
 def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     """Compare the three dimension routes for one component.
 
-    dim_kernel comes from exact elimination, dim_span from the distinct
-    leads of the expanded standard products, and the oracle from summing
-    the Kostka numbers of every two-row shape.  As side checks every
+    dim_kernel comes from the peeled kernel blocks
+    (kernel.kernel_dimension), dim_span from the distinct leads of the
+    expanded standard products, and the oracle from summing the Kostka
+    numbers of every two-row shape.  As side checks every
     kernel vector and every standard product is confirmed to be a
     constant; the other products are only counted, for product_count.
     dim_span is at most dim_kernel whichever products the walk picks, so
@@ -584,11 +585,11 @@ def verify_component(d: int, n: tuple[int, ...]) -> ComponentReport:
     entries' signs on a miss, and a content with a negative entry is
     never stored, so it always misses.  The kernel
     and span numbers of c are those of sorted(c), which is the one
-    eliminated, expanded and checked, so a failing side check names
+    peeled, expanded and checked, so a failing side check names
     products by the sorted content's indices; the oracle runs on c
     itself.  Below the content, each distinct y-weight block
-    (kernel.block_key) is eliminated, expanded and checked once per
-    process, and its kernel vectors, lead count and product count are
+    (kernel.block_key) is built, expanded and checked once per
+    process, and its kernel nullity, lead count and product count are
     read back for every later content that has it.
     """
     start = time.perf_counter()

@@ -4,11 +4,15 @@ Everything here is deliberately naive and shares no code path with the
 package: plain rational Gauss-Jordan instead of fraction-free elimination,
 generate-and-filter enumerations instead of recursive construction, and
 the sl2 character identity instead of counting tableaux.
-Expected values asserted in the tests are computed with these.  The
-one exception is product_blocks_oracle, the all-product reference for
-the standard-product routes: it multiplies the products out with the
+Expected values asserted in the tests are computed with these.  There
+are two exceptions.  product_blocks_oracle, the all-product reference
+for the standard-product routes, multiplies the products out with the
 package's enumerate_products and expand, which the tests check against
-products_oracle and expand_oracle.  The sl2 ladders are the Fraction
+products_oracle and expand_oracle.  full_block_nullity, the reference
+for the kernel route's peeled blocks, eliminates a whole weight block as
+that route did before it peeled, on the package's block_rows and
+integer_rank, which the tests check against delta_matrix and
+rank_oracle.  The sl2 ladders are the Fraction
 reference for the package's integer ladder check: they lower with
 delta_star here and raise with the package's Polynomial delta.  The
 tensor words at the end take their tableaux, in order, from
@@ -30,6 +34,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from weitzlab.derivation import delta, is_constant
+from weitzlab.kernel import DeltaImages, block_rows, positions_by_weight
+from weitzlab.linalg import integer_rank
 from weitzlab.poly import Monomial, PolyParseError, Polynomial, component_basis
 from weitzlab.products import ComponentReport, enumerate_products, expand
 from weitzlab.report import strip_timing
@@ -312,6 +318,18 @@ def delta_matrix(d: int, n: tuple[int, ...]) -> list[list[int]]:
         for t, e in image:
             rows[t][j] = e
     return rows
+
+
+def full_block_nullity(c: tuple[int, ...], q: int) -> int:
+    """Nullity of delta on the weight-q block of content c, the whole block eliminated.
+
+    The block's rows, from W_q to W_(q - 1), are cut by kernel.block_rows
+    and ranked by linalg.integer_rank.
+    """
+    blocks = positions_by_weight(c)
+    source = blocks[q]
+    rows = block_rows(DeltaImages(len(c), c), source, blocks[q - 1] if q else [])
+    return len(source) - integer_rank(rows, len(source))
 
 
 def product_blocks_oracle(d: int, n: tuple[int, ...]) -> dict[int, tuple]:

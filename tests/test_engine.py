@@ -32,9 +32,12 @@ transposed, with the same rank, and the derived nullity 0.  The
 fault-injection tests corrupt one column or one kernel vector on cold
 caches and require the constancy side checks to fire with their usual
 messages and store nothing; a kernel vector dropped below the middle
-must trip the transpose check of its upper partner, and a standard
-column emitted in place of another must leave dim_span below dim_kernel
-and fail verify's exit code.  The integer
+must trip the transpose check of its upper partner, and so must a
+peel one power short; a standard column emitted in place of another
+must leave dim_span below dim_kernel and fail verify's exit code.
+Kernel blocks are peeled: verify is checked to eliminate nothing at
+d=2 and nothing wider than W_6(1^11) for (1^12), and to list the
+positions of c' alone.  The integer
 lowering map is checked against oracles.delta_star on every position,
 and a lowering with a wrong coefficient, one that drops every rung or
 one whose string never ends must fail crosscheck's ladder check, its
@@ -52,7 +55,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import mul
 
 import pytest
@@ -323,21 +326,22 @@ def test_corrupted_product_column_fails_verification(monkeypatch, cold_engine):
     assert (report.dim_kernel, report.dim_span, report.dim_tableau_oracle) == (2, 2, 2)
 
 
-def corrupt_nullspace(monkeypatch):
-    real = kernel.integer_nullspace
+def corrupt_peel(monkeypatch):
+    """Add 1 to the first entry of every rebuilt kernel vector with two or more."""
+    real = kernel._peeled_vectors
 
-    def corrupt(rows, cols):
-        vectors = real(rows, cols)
-        return [[v[0] + 1] + v[1:] if len(v) > 1 else v for v in vectors]
+    def corrupt(peel, q):
+        vectors = real(peel, q)
+        return [{**v, min(v): v[min(v)] + 1} if len(v) > 1 else v for v in vectors]
 
-    monkeypatch.setattr(kernel, "integer_nullspace", corrupt)
+    monkeypatch.setattr(kernel, "_peeled_vectors", corrupt)
 
 
 KERNEL_CHECK = r"^kernel vector failed the constancy check$"
 
 
 def test_corrupted_kernel_vector_fails_both_routes(monkeypatch, cold_engine):
-    corrupt_nullspace(monkeypatch)
+    corrupt_peel(monkeypatch)
     with pytest.raises(AssertionError, match=KERNEL_CHECK):
         verify_component(2, (1, 1))
     with pytest.raises(AssertionError, match=KERNEL_CHECK):
@@ -345,7 +349,7 @@ def test_corrupted_kernel_vector_fails_both_routes(monkeypatch, cold_engine):
 
 
 def test_failed_block_check_stores_nothing(monkeypatch, cold_engine):
-    corrupt_nullspace(monkeypatch)
+    corrupt_peel(monkeypatch)
     with pytest.raises(AssertionError, match=KERNEL_CHECK):
         verify_component(2, (1, 1))
     monkeypatch.undo()
@@ -494,15 +498,16 @@ def test_span_blocks_in_the_table_are_not_checked_again(monkeypatch, cold_engine
 
 
 def test_bogus_upper_block_vector_fails_and_stores_nothing(monkeypatch, cold_engine):
-    # the one upper block still eliminated is the middle one of odd |n|: for
+    # the one upper block still built is the middle one of odd |n|: for
     # (1, 1, 1) at q = 2 a square 3x3 block, transposed onto itself
-    real = kernel.integer_nullspace
+    real = kernel._peeled_vectors
+    middle = kernel.positions_by_weight((1, 1, 1))[2]
 
-    def bogus(rows, cols):
-        vectors = real(rows, cols)
-        return vectors + [[1] * cols] if len(rows) == cols == 3 else vectors
+    def bogus(peel, q):
+        vectors = real(peel, q)
+        return vectors + [dict.fromkeys(middle, 1)] if q == 2 else vectors
 
-    monkeypatch.setattr(kernel, "integer_nullspace", bogus)
+    monkeypatch.setattr(kernel, "_peeled_vectors", bogus)
     with pytest.raises(AssertionError, match=KERNEL_CHECK):
         kernel_blocks(3, (1, 1, 1))
     assert block_key((1, 1, 1), 2) not in kernel._BLOCK_KERNELS
@@ -512,22 +517,67 @@ def test_bogus_upper_block_vector_fails_and_stores_nothing(monkeypatch, cold_eng
         (1, [1, 2, 4], ((1, -1, 0), (1, 0, -1))),
     ]
     assert kernel._BLOCK_KERNELS[block_key((1, 1, 1), 2)] == ()
-    assert block_key((1, 1, 1), 3) not in kernel._BLOCK_KERNELS  # derived, not eliminated
+    assert block_key((1, 1, 1), 3) not in kernel._BLOCK_KERNELS  # derived, not built
 
 
 def test_dropped_lower_kernel_vector_fails_the_transpose_check(monkeypatch, cold_engine):
     # (1, 1) at q = 1 has the one kernel vector x1*y2 - y1*x2; without it the
-    # upper block y1*y2 derives nullity 1 - 2 + 0 and is eliminated, finding 0
-    real = kernel.integer_nullspace
+    # upper block y1*y2 derives nullity 1 - 2 + 0 and is built, finding 0
+    real = kernel._peeled_vectors
 
-    def dropped(rows, cols):
-        vectors = real(rows, cols)
-        return vectors[:-1] if cols == 2 else vectors
+    def dropped(peel, q):
+        vectors = real(peel, q)
+        return vectors[:-1] if q == 1 else vectors
 
-    monkeypatch.setattr(kernel, "integer_nullspace", dropped)
+    monkeypatch.setattr(kernel, "_peeled_vectors", dropped)
     with pytest.raises(AssertionError, match=r"^upper block nullity disagrees with its transpose$"):
         kernel_blocks(2, (1, 1))
     assert block_key((1, 1), 2) not in kernel._BLOCK_KERNELS
+
+
+def test_peeling_one_power_short_fails_the_transpose_check(monkeypatch, cold_engine):
+    # (1, 1, 1, 1) at q = 2 peels to ker delta'^2 on W_2(1, 1, 1), of
+    # nullity 2; delta'^1 has none there, so the upper block q = 3 derives
+    # 4 - 6 + 0, is built and finds 0
+    real = kernel._power_kernel
+    monkeypatch.setattr(
+        kernel, "_power_kernel", lambda peel, q, power: real(peel, q, power - 1)
+    )
+    with pytest.raises(AssertionError, match=r"^upper block nullity disagrees with its transpose$"):
+        verify_component(4, (1, 1, 1, 1))
+    assert block_key((1, 1, 1, 1), 3) not in kernel._BLOCK_KERNELS
+    monkeypatch.undo()
+    clear_engine()
+    report = verify_component(4, (1, 1, 1, 1))
+    assert (report.dim_kernel, report.verdict) == (6, True)
+
+
+def test_verify_peels_without_eliminating_large_blocks(monkeypatch, cold_engine):
+    """verify builds no position list of the component itself, only of c', and
+    eliminates only delta'^(m+1) on W_q(c') for q > m: none at d=2, and for
+    (1^12) nothing wider than W_6(1^11), where the old route eliminated the
+    792 x 924 middle block."""
+    widths, listed = [], []
+    real_nullspace, real_positions = kernel.integer_nullspace, kernel.positions_by_weight
+
+    def nullspace(rows, cols):
+        widths.append(cols)
+        return real_nullspace(rows, cols)
+
+    def positions(n):
+        listed.append(n)
+        return real_positions(n)
+
+    monkeypatch.setattr(kernel, "integer_nullspace", nullspace)
+    monkeypatch.setattr(kernel, "positions_by_weight", positions)
+    run_verify_sweep(SweepConfig(d=2, max_total_degree=18))
+    assert widths == []
+    assert all(len(n) <= 1 for n in listed)
+    listed.clear()
+    report = verify_component(12, (1,) * 12)
+    assert (report.dim_kernel, report.verdict) == (924, True)
+    assert max(widths) == comb(11, 6) == 462
+    assert listed == [(1,) * 11]
 
 
 @pytest.mark.parametrize("d,max_degree,entries,spans", [(2, 18, 57, 12), (4, 8, 59, 38)])
@@ -639,12 +689,12 @@ def test_an_unsorted_content_is_computed_through_its_sorted_one(monkeypatch, col
 
         monkeypatch.setattr(products, name, recorded)
 
-    record("kernel_blocks", kernel_blocks)
+    record("kernel_dimension", kernel.kernel_dimension)
     record("_span_rank", products._span_rank)
     record("kostka_numbers", kostka_numbers)
     report = verify_component(3, (3, 1, 2))
     assert calls == [
-        ("kernel_blocks", (3, (1, 2, 3)), {}),
+        ("kernel_dimension", (3, (1, 2, 3)), {}),
         ("_span_rank", (3, (1, 2, 3)), {}),
         ("kostka_numbers", ((1, 2, 3),), {}),
         ("kostka_numbers", ((3, 1, 2),), {}),

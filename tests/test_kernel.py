@@ -2,15 +2,24 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd
 
 from weitzlab.derivation import exp_action, is_constant
+from weitzlab import kernel
 from weitzlab.kernel import kernel_basis, positions_by_weight, weight_block_sizes
 from weitzlab.linalg import integer_rank
 from weitzlab.poly import Polynomial, component_basis, format_poly
 from weitzlab.report import enumerate_multidegrees
 from weitzlab.tableaux import kostka, two_row_partitions
 
-from oracles import delta_matrix, nullspace_oracle, random_rational, same_span
+from oracles import (
+    delta_matrix,
+    full_block_nullity,
+    nullspace_oracle,
+    random_rational,
+    same_span,
+)
 
 
 def rank(rows):
@@ -115,6 +124,27 @@ def test_weight_block_sizes_count_the_positions_by_weight():
             assert weight_block_sizes(n) == [len(b) for b in positions_by_weight(n)], n
     assert weight_block_sizes((1,) * 14)[7] == 3432
     assert max(weight_block_sizes((1,) * 16)) == 12870
+
+
+def test_peeled_nullity_is_the_full_block_nullity():
+    """ker delta|W_q(c) = ker delta'^(m+1): W_q(c') -> W_(q-m-1)(c') for sorted c,
+    m = c[-1] and c' = c[:-1]: the peel's checked vectors number the full
+    block's nullity at every weight q, upper blocks included, on the sorted
+    contents with 1 to 4 parts in 1..4 and on (1^N) for N <= 10."""
+    small = [
+        c for parts in range(1, 5) for c in combinations_with_replacement(range(1, 5), parts)
+    ]
+    assert (len(small), sum(sum(c) + 1 for c in small)) == (69, 629)
+    pairs = 0
+    for c in sorted(set(small) | {(1,) * N for N in range(1, 11)}):
+        peel = kernel._Peel(c)
+        for q in range(sum(c) + 1):
+            vectors = kernel._checked_block(peel, q)
+            assert len(vectors) == full_block_nullity(c, q), (c, q)
+            for v in vectors:  # primitive, first nonzero entry positive
+                assert gcd(*v) == 1 and next(e for e in v if e) > 0, (c, q)
+            pairs += 1
+    assert pairs == 629 + sum(N + 1 for N in range(5, 11))
 
 
 def test_biweight_block_structure():

@@ -392,7 +392,7 @@ def test_verify_component_rejects_malformed_multidegree(d, n, message, monkeypat
     size = table.cache_info().currsize
     # an invalid content is refused before any route runs, and never stored
     routes = []
-    monkeypatch.setattr(products, "kernel_blocks", lambda *args: routes.append(args))
+    monkeypatch.setattr(products, "kernel_dimension", lambda *args: routes.append(args))
     for _ in range(2):
         with pytest.raises(ValueError, match=f"^{message}$"):
             verify_component(d, n)
